@@ -218,12 +218,12 @@ def test_parallel_repgen_is_byte_identical_and_records_speedup(
         "perf": {
             k: v
             for k, v in parallel_result.stats.perf.items()
-            if k.startswith("repgen.parallel")
+            if k.startswith(("repgen.parallel", "parallel.gen"))
         },
     }
     # The acceptance bar: byte-identical serialized output for Nam (3, 3).
     assert parallel_result.ecc_set.to_json() == serial_result.ecc_set.to_json()
-    assert parallel_result.stats.perf.get("repgen.parallel.rounds", 0) > 0
+    assert parallel_result.stats.perf.get("parallel.gen.rounds", 0) > 0
 
 
 def test_parallel_verification_is_byte_identical_and_records_timing(
@@ -251,13 +251,15 @@ def test_parallel_verification_is_byte_identical_and_records_timing(
         "perf": {
             k: v
             for k, v in perf.items()
-            if k.startswith("verifier.parallel") or k.startswith("verifier.workers")
+            if k.startswith(
+                ("verifier.parallel", "verifier.workers", "parallel.verify")
+            )
         },
     }
     # The acceptance bar: byte-identical serialized output for Nam (3, 3),
     # with the aggregated worker stats visible in GeneratorStats.perf.
     assert parallel_result.ecc_set.to_json() == serial_result.ecc_set.to_json()
-    assert perf.get("verifier.parallel.rounds", 0) > 0
+    assert perf.get("parallel.verify.rounds", 0) > 0
     assert perf.get("verifier.workers.checks", 0) > 0
     assert perf.get("verifier.parallel.table_misses", 0) == 0
 
@@ -271,7 +273,7 @@ def test_search_parallel_microbench(nam_q3_n3_generation):
     asserted (this container may be single-core).  What *is* asserted is
     the determinism contract: the pooled run's best circuit is
     byte-identical to the serial reference, and the pool really dispatched
-    (``search.parallel_chunks``) so the comparison is not vacuous.
+    (``parallel.search.chunks``) so the comparison is not vacuous.
     """
     from repro.generator.ecc import circuit_to_payload
     from repro.optimizer.parallel import ParallelBacktrackingStrategy
@@ -305,53 +307,14 @@ def test_search_parallel_microbench(nam_q3_n3_generation):
         "perf": {
             k: v
             for k, v in pooled_outcome.perf.items()
-            if k.startswith("search.") or k.startswith("resilience.")
+            if k.startswith(("search.", "parallel.search", "resilience."))
         },
     }
-    assert pooled_outcome.perf.get("search.parallel_chunks", 0) > 0
+    assert pooled_outcome.perf.get("parallel.search.chunks", 0) > 0
     assert pooled_outcome.final_cost == serial_outcome.final_cost
     assert json.dumps(
         circuit_to_payload(pooled_outcome.circuit), sort_keys=True
     ) == json.dumps(circuit_to_payload(serial_outcome.circuit), sort_keys=True)
-    assert elapsed < 120.0
-
-
-def test_portfolio_microbench(nam_q3_n3_generation):
-    """Portfolio racing at the quick scale, recorded in the perf trajectory.
-
-    Races the default backtracking/greedy/beam roster with early
-    cancellation on; records the winner, the per-racer outcomes and the
-    wall-clock next to the serial ``search_tof3`` entry (on a single-core
-    container the race is a fair time-sliced comparison, so the seconds
-    are reported, not asserted).
-    """
-    from repro.optimizer.parallel import PortfolioStrategy
-
-    result, _ = nam_q3_n3_generation
-    ecc_set = prune_common_subcircuits(simplify_ecc_set(result.ecc_set))
-    transformations = transformations_from_ecc_set(ecc_set)
-    circuit = preprocess(benchmark_circuit("tof_3"), "nam")
-
-    portfolio = PortfolioStrategy()
-    start = time.perf_counter()
-    outcome = portfolio.run(
-        circuit, transformations, max_iterations=15, timeout_seconds=60
-    )
-    elapsed = time.perf_counter() - start
-
-    _RESULTS["portfolio_tof3"] = {
-        "seconds": elapsed,
-        "winner": outcome.metadata["winner"],
-        "final_cost": outcome.final_cost,
-        "racers": outcome.metadata["racers"],
-        "perf": {
-            k: v for k, v in outcome.perf.items() if k.startswith("search.")
-        },
-    }
-    racer_names = {racer["racer"] for racer in outcome.metadata["racers"]}
-    assert outcome.metadata["winner"] in racer_names
-    assert outcome.perf["search.racers"] == 3
-    assert outcome.final_cost <= outcome.initial_cost
     assert elapsed < 120.0
 
 

@@ -7,10 +7,7 @@ on the worker count: ``workers=1`` runs the identical wave algorithm
 in-process, and any ``workers=N`` run must return the byte-identical best
 circuit at the equal best cost.  This script runs the serial reference
 once and then each requested worker count, failing loudly on the first
-divergence.  ``portfolio`` is checked the same way (its racers then share
-the worker knob); the script always races with ``early_cancel=False``,
-the configuration the portfolio's full determinism guarantee is stated
-against.
+divergence.
 
 Invoked by the ``search`` CI leg (plain at 2 and 4 workers, then under a
 ``REPRO_FAULTS`` kill/delay plan exercising the ``search`` fault site) and
@@ -28,7 +25,8 @@ parallel run re-arms the ``REPRO_FAULTS`` plan from scratch; with
 ``--expect-faults`` the script additionally fails if no fault actually
 fired in any parallel run — guarding the chaos coverage against becoming
 vacuous when an injection point moves.  The ``resilience.*`` recovery and
-``search.*`` pool counters of each parallel run are printed either way.
+``parallel.search.*`` pool counters of each parallel run are printed
+either way.
 
 Exit codes: 0 identity holds, 1 divergence, 2 usage error, 3 vacuous
 fault plan under ``--expect-faults``.
@@ -55,16 +53,7 @@ def run_search(
 ) -> Tuple[str, float, Dict[str, float]]:
     from repro.optimizer.strategies import get_strategy
 
-    options: Dict[str, object] = {"workers": workers}
-    if args.strategy == "portfolio":
-        # The configuration the determinism guarantee is stated against:
-        # losers run out their budgets, so every racer's result is stable.
-        # The roster swaps the default's backtracking for its parallel
-        # variant — the default roster is serial-only, which would make a
-        # worker-count comparison trivially vacuous.
-        options["early_cancel"] = False
-        options["racers"] = ("parallel-backtracking", "greedy", "beam")
-    strategy = get_strategy(args.strategy, **options)
+    strategy = get_strategy(args.strategy, workers=workers)
     result = strategy.run(
         circuit,
         transformations,
@@ -89,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--strategy",
         default="parallel-backtracking",
-        choices=("parallel-backtracking", "portfolio"),
+        choices=("parallel-backtracking",),
         help="worker-capable strategy to check (default parallel-backtracking)",
     )
     parser.add_argument(
@@ -170,7 +159,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         pool_counters = {
             key: value
             for key, value in perf.items()
-            if key.startswith("resilience.") or key == "search.pool_degraded"
+            if key.startswith(("resilience.", "parallel.search."))
         }
         for key in sorted(pool_counters):
             print(f"  {key} = {pool_counters[key]}")

@@ -2,7 +2,11 @@
 
 R004 (wall-clock-in-worker) and R007 (mutable-module-global) reason about
 *worker-executed* code: the functions a :class:`repro.workerpool.ResilientPool`
-chunk function or initializer can reach.  Python being Python, perfect call
+chunk function or initializer can reach, plus the spec builder and chunk
+function handed to the spec-initialized primitives
+(:class:`repro.workerpool.ShardMap`, :func:`repro.workerpool.spec_pool`),
+which the shared initializer and chunk runner only call through
+variables.  Python being Python, perfect call
 resolution is undecidable — this module resolves what the codebase actually
 does and deliberately over-approximates the rest:
 
@@ -22,17 +26,22 @@ Builtins and third-party modules are simply absent from the index, so
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.core import FunctionRecord, ProjectIndex
 
 __all__ = ["find_worker_entries", "call_targets", "reachable_from"]
 
-#: The class whose call sites define worker entry points.  The first two
-#: positional arguments of ``ResilientPool(worker_fn, initializer, ...)``
-#: are executed in worker processes.
-POOL_CLASS = "ResilientPool"
-POOL_ENTRY_ARGS = 2
+#: Call sites that define worker entry points: callee name -> the
+#: (positional index, keyword name) of every argument executed in worker
+#: processes.  ``ResilientPool(worker_fn, initializer, ...)`` runs its
+#: first two; the spec-initialized primitives ``ShardMap(site, build,
+#: spec, fn, ...)`` / ``spec_pool(...)`` run ``build`` and ``fn``.
+WORKER_ENTRY_ARGS: Dict[str, Tuple[Tuple[int, str], ...]] = {
+    "ResilientPool": ((0, "worker_fn"), (1, "initializer")),
+    "ShardMap": ((1, "build"), (3, "fn")),
+    "spec_pool": ((1, "build"), (3, "fn")),
+}
 
 
 def _called_name(func: ast.AST) -> Optional[str]:
@@ -44,21 +53,41 @@ def _called_name(func: ast.AST) -> Optional[str]:
 
 
 def find_worker_entries(project: ProjectIndex) -> List[Tuple[str, str]]:
-    """Every function passed to ``ResilientPool`` as chunk fn / initializer."""
+    """Every function a pool call site hands to worker processes."""
     entries: List[Tuple[str, str]] = []
     for module in project.modules:
         for node in ast.walk(module.tree):
-            if not (
-                isinstance(node, ast.Call) and _called_name(node.func) == POOL_CLASS
-            ):
+            if not isinstance(node, ast.Call):
                 continue
-            for arg in node.args[:POOL_ENTRY_ARGS]:
-                if not isinstance(arg, ast.Name):
-                    continue
-                key = _resolve_name(arg.id, module, project)
+            slots = WORKER_ENTRY_ARGS.get(_called_name(node.func) or "")
+            if slots is None:
+                continue
+            keywords = {kw.arg: kw.value for kw in node.keywords}
+            for index, keyword in slots:
+                if index < len(node.args):
+                    arg: Optional[ast.AST] = node.args[index]
+                else:
+                    arg = keywords.get(keyword)
+                key = _resolve_reference(arg, module, project)
                 if key is not None and key not in entries:
                     entries.append(key)
     return entries
+
+
+def _resolve_reference(
+    node: Optional[ast.AST], module, project: ProjectIndex
+) -> Optional[Tuple[str, str]]:
+    """A function passed by reference (``fn``, ``Cls.method``, ``mod.fn``)."""
+    if isinstance(node, ast.Name):
+        return _resolve_name(node.id, module, project)
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        base = node.value.id
+        if base in module.import_aliases:
+            remote = project.module_functions.get(module.import_aliases[base], {})
+            return remote.get(node.attr)
+        owner = module.from_imports.get(base, (module.logical, base))
+        return project.class_methods.get(owner, {}).get(node.attr)
+    return None
 
 
 def _resolve_name(

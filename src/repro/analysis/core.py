@@ -334,7 +334,7 @@ class ProjectIndex:
     # -- worker reachability (computed once, shared by R004/R007) ------------
 
     def worker_entries(self) -> List[Tuple[str, str]]:
-        """Functions handed to ``ResilientPool`` as chunk fn or initializer."""
+        """Functions a pool call site hands to worker processes."""
         if self._worker_entries is None:
             from repro.analysis.callgraph import find_worker_entries
 

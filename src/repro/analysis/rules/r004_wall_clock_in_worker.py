@@ -10,9 +10,10 @@ compute different values, and if one leaks into a result the
 serial-vs-parallel byte-identity tests only catch it when a fault happens
 to land on the poisoned chunk.
 
-This rule follows the call graph from every function handed to
-:class:`repro.workerpool.ResilientPool` (chunk fns and initializers — see
-:mod:`repro.analysis.callgraph`) and flags, in reachable code:
+This rule follows the call graph from every function handed to worker
+processes — :class:`repro.workerpool.ResilientPool` chunk fns and
+initializers, :class:`repro.workerpool.ShardMap` builders and chunk fns;
+see :mod:`repro.analysis.callgraph` — and flags, in reachable code:
 
 * ``time.time/perf_counter/monotonic/process_time`` (+ ``_ns`` variants)
   — reads; ``time.sleep`` is fine (it returns nothing);
@@ -205,6 +206,6 @@ class WallClockInWorkerRule(Rule):
                     module,
                     node,
                     message
-                    + f" (reachable from a ResilientPool entry via "
+                    + f" (reachable from a worker entry via "
                     f"{record.qualname})",
                 )

@@ -13,7 +13,7 @@ fault lands on a poisoned worker.
 The sanctioned patterns, for contrast, are:
 
 * worker state rebuilt from a spec by the pool initializer into a global
-  that starts as ``None`` (``_WORKER_CONTEXT`` / ``_WORKER_VERIFIER``) —
+  that starts as ``None`` (``repro.workerpool._SPEC_WORKER``) —
   set once per process, before any chunk;
 * instance-level caches (``FingerprintContext._state_cache``) — rebuilt
   per worker from the spec, so divergence cannot leak across processes;

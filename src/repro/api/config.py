@@ -28,20 +28,20 @@ import dataclasses
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.envconfig import (
+    SEARCH_WORKERS_ENV_VAR,
+    VERIFY_WORKERS_ENV_VAR,
+    WORKERS_ENV_VAR,
     env_batched_optional,
     env_cache_dir,
     env_cache_enabled,
     env_chunk_retries_optional,
     env_chunk_timeout_optional,
-    env_portfolio_optional,
     env_resume_optional,
     env_scale,
-    env_search_workers_optional,
-    env_verify_workers_optional,
-    env_workers_optional,
+    env_worker_count,
 )
 from repro.generator.repgen import DEFAULT_SEED
 from repro.ir.gatesets import GateSet
@@ -101,13 +101,6 @@ class SearchConfig:
     #: ``REPRO_SEARCH_WORKERS`` at run time; 1 means serial — the serial
     #: reference the byte-identity guarantee is stated against).
     search_workers: Optional[int] = None
-    #: Portfolio racer roster (None: read ``REPRO_PORTFOLIO`` at run time,
-    #: else race the default backtracking/greedy/beam).
-    portfolio: Optional[Tuple[str, ...]] = None
-    #: Whether the portfolio cancels remaining racers once one completes
-    #: with an improvement over the input circuit (full run-to-run
-    #: determinism of the losers' partial results requires False).
-    early_cancel: bool = True
     strategy_options: Mapping[str, Any] = field(default_factory=dict)
 
     def options_for(self, strategy_name: Optional[str] = None) -> Dict[str, Any]:
@@ -137,12 +130,6 @@ class SearchConfig:
                 queue_keep=self.queue_keep,
                 max_matches_per_transformation=self.max_matches_per_transformation,
                 workers=self.search_workers,
-            )
-        elif name == "portfolio":
-            options.update(
-                racers=self.portfolio,
-                workers=self.search_workers,
-                early_cancel=self.early_cancel,
             )
         options.update(self.strategy_options)
         return options
@@ -181,15 +168,15 @@ class RunConfig:
         ``REPRO_CACHE_DISABLE`` (only truthy values disable),
         ``REPRO_CHUNK_TIMEOUT`` / ``REPRO_CHUNK_RETRIES`` (worker-pool
         resilience), ``REPRO_RESUME`` (crash-safe checkpointing),
-        ``REPRO_SEARCH_WORKERS`` / ``REPRO_PORTFOLIO`` (parallel search)
-        and ``REPRO_SCALE``.  ``overrides`` win over the environment.
+        ``REPRO_SEARCH_WORKERS`` (parallel search) and ``REPRO_SCALE``.
+        ``overrides`` win over the environment.
         """
         config = cls(
             scale=env_scale(),
             batched=env_batched_optional(),
             generation=GenerationConfig(
-                workers=env_workers_optional(),
-                verify_workers=env_verify_workers_optional(),
+                workers=env_worker_count(WORKERS_ENV_VAR),
+                verify_workers=env_worker_count(VERIFY_WORKERS_ENV_VAR),
                 cache_dir=env_cache_dir(),
                 cache_enabled=env_cache_enabled(),
                 chunk_timeout=env_chunk_timeout_optional(),
@@ -197,8 +184,7 @@ class RunConfig:
                 resume=env_resume_optional(),
             ),
             search=SearchConfig(
-                search_workers=env_search_workers_optional(),
-                portfolio=env_portfolio_optional(),
+                search_workers=env_worker_count(SEARCH_WORKERS_ENV_VAR)
             ),
         )
         return config.with_overrides(**overrides) if overrides else config

@@ -28,12 +28,16 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.api.config import GenerationConfig, RunConfig
-from repro.envconfig import env_cache_dir, env_cache_enabled, env_resume
+from repro.envconfig import (
+    SEARCH_WORKERS_ENV_VAR,
+    VERIFY_WORKERS_ENV_VAR,
+    WORKERS_ENV_VAR,
+    env_cache_dir,
+    env_cache_enabled,
+    env_resume,
+)
 from repro.generator.cache import ECCCache, backend_kind, cache_key
 from repro.generator.ecc import ECCSet
-from repro.generator.parallel import resolve_workers
-from repro.optimizer.parallel import resolve_search_workers
-from repro.verifier.parallel import resolve_verify_workers
 from repro.generator.pruning import prune_common_subcircuits, simplify_ecc_set
 from repro.generator.repgen import GeneratorResult, GeneratorStats, RepGen
 from repro.ir.circuit import Circuit
@@ -52,7 +56,11 @@ from repro.semantics.backend import (
     get_backend,
 )
 from repro.semantics.fingerprint import resolve_batched
-from repro.workerpool import resolve_chunk_retries, resolve_chunk_timeout
+from repro.workerpool import (
+    resolve_chunk_retries,
+    resolve_chunk_timeout,
+    resolve_workers,
+)
 
 _UNSET = object()
 
@@ -610,15 +618,19 @@ class Superoptimizer:
             # serial strategies (they cannot use workers, whatever the
             # knob says), the resolved knob for the parallel ones.
             "search_workers": (
-                resolve_search_workers(config.search.search_workers)
+                resolve_workers(
+                    config.search.search_workers, SEARCH_WORKERS_ENV_VAR
+                )
                 if self._strategy.supports_workers
                 else 1
             ),
             "n": generation.n,
             "q": generation.q,
             "seed": generation.seed,
-            "workers": resolve_workers(generation.workers),
-            "verify_workers": resolve_verify_workers(generation.verify_workers),
+            "workers": resolve_workers(generation.workers, WORKERS_ENV_VAR),
+            "verify_workers": resolve_workers(
+                generation.verify_workers, VERIFY_WORKERS_ENV_VAR
+            ),
             "cache_dir": str(
                 generation.cache_dir
                 if generation.cache_dir is not None
@@ -650,11 +662,6 @@ class Superoptimizer:
                 if key.startswith("resilience.")
             },
         }
-        # Portfolio runs name the racer whose result won the deterministic
-        # (cost, canonical key, racer index) rule.
-        winning_racer = result.metadata.get("winner")
-        if winning_racer is not None:
-            provenance["winning_racer"] = winning_racer
 
         return RunReport(
             circuit=result.circuit,

@@ -22,8 +22,8 @@ Shared flags:
   (default ``REPRO_CHUNK_TIMEOUT``; 0 disables the deadline);
 * ``--chunk-retries N`` — re-dispatch budget per failed/timed-out chunk
   (default ``REPRO_CHUNK_RETRIES``);
-* ``--search-workers N`` — worker processes for the parallel search
-  strategies (``parallel-backtracking``, ``portfolio``; default
+* ``--search-workers N`` — worker processes for the
+  ``parallel-backtracking`` search strategy (default
   ``REPRO_SEARCH_WORKERS``, else serial);
 * ``--resume``       — checkpoint RepGen after every round and resume a
   killed run from the last completed one (needs the persistent cache).
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="backtracking",
         help=(
             "search strategy (backtracking, greedy, beam, "
-            "parallel-backtracking, portfolio)"
+            "parallel-backtracking)"
         ),
     )
     optimize.add_argument(

@@ -15,8 +15,7 @@ Knobs (all also exposed by ``python -m repro.experiments.cli``):
 * ``REPRO_GEN_WORKERS`` — fingerprint worker processes per RepGen run;
 * ``REPRO_VERIFY_WORKERS`` — equivalence-verifier worker processes per
   RepGen run;
-* ``REPRO_SEARCH_WORKERS`` / ``REPRO_PORTFOLIO`` — parallel-search worker
-  processes and portfolio racer roster (read by
+* ``REPRO_SEARCH_WORKERS`` — parallel-search worker processes (read by
   :meth:`repro.api.RunConfig.from_env`; :func:`quartz_optimize` also takes
   ``strategy`` / ``search_workers`` directly).
 """

@@ -1,9 +1,9 @@
-"""Sharded multiprocess fingerprinting for RepGen rounds.
+"""The fingerprint chunk function RepGen shards its rounds through.
 
 The paper's equivalence-set generation runs used 128 cores; the candidates
 within one RepGen round are independent up to the ECC insert, so the
 fingerprint evaluation — the numeric bulk of a round — shards cleanly
-across a ``multiprocessing`` pool:
+across a :class:`repro.workerpool.ShardMap` (fault site ``gen``):
 
 * the parent enumerates and suffix-filters the candidate extensions of
   every representative (cheap, deterministic);
@@ -19,96 +19,39 @@ circuit from scratch and applies one gate produces the *same float* the
 serial generator computes — so the merged ECC set is bit-identical to the
 serial run's.  ``tests/test_parallel.py`` and the micro-benchmarks assert
 ``ECCSet.to_json`` byte equality between serial and multi-worker runs.
-
-Worker count resolution: an explicit ``workers`` argument wins, else the
-``REPRO_GEN_WORKERS`` environment variable, else 1 (serial).  Any failure
-to set up or use the pool (unpicklable custom gates, missing ``fork`` and
-``spawn`` restrictions, ...) degrades to the serial path with a warning —
-parallelism is an optimization, never a correctness dependency.
-
-Dispatch rides on :class:`repro.workerpool.ResilientPool`: chunks are sent
-asynchronously with per-chunk deadlines, and killed workers, wedged chunks
-and in-worker exceptions are retried (with pool respawn and backoff)
-before the *round* degrades to serial.  Because a chunk's hash keys are a
-pure function of the chunk payload and the context spec, a retried chunk
-returns the exact keys the first dispatch would have — recovery never
-perturbs the merged, byte-identical ECC set.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro import faults
-from repro.envconfig import WORKERS_ENV_VAR, env_workers
 from repro.ir.circuit import Circuit, Instruction
-from repro.perf import PerfRecorder
 from repro.semantics.fingerprint import FingerprintContext
-from repro.workerpool import ResilientPool
 
-__all__ = [
-    "WORKERS_ENV_VAR",
-    "MIN_PARALLEL_CANDIDATES",
-    "FingerprintJob",
-    "ParallelFingerprintPool",
-    "resolve_workers",
-]
-
-#: Rounds with fewer candidates than this run serially even when a pool is
-#: available: the per-candidate work is ~a few microseconds, so IPC would
-#: dominate.
-MIN_PARALLEL_CANDIDATES = 64
-
-# One job per parent: the parent circuit and its surviving extensions.
-FingerprintJob = Tuple[Circuit, Sequence[Instruction]]
+__all__ = ["hash_keys_for_chunk"]
 
 
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Resolve a worker count: explicit argument, else env var, else 1.
-
-    Environment parsing (invalid and negative values warn and mean serial)
-    lives in :mod:`repro.envconfig` so every knob is parsed one way.
-    """
-    if workers is None:
-        return env_workers()
-    return max(int(workers), 1)
-
-
-# -- worker side -------------------------------------------------------------
-
-_WORKER_CONTEXT: Optional[FingerprintContext] = None
-
-
-def _init_worker(context_spec: dict) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = FingerprintContext.from_spec(context_spec)
-
-
-def _hash_keys_for_chunk(payload):
+def hash_keys_for_chunk(
+    context: FingerprintContext,
+    chunk: Sequence[Tuple[Circuit, Sequence[Instruction]]],
+) -> Tuple[List[Tuple[List[int], list]], Dict[str, int]]:
     """Hash keys and evolved states for every candidate of a chunk of jobs.
 
-    ``payload`` is ``(chunk, fault_token)`` — the token (normally None) is
-    an injected-fault instruction executed before any real work, so chaos
-    tests can kill/delay/fail exactly one chunk deterministically.
-
-    Each parent's evolved state is replayed once (bit-identical to the
-    serial generator's incrementally-built state) and shared by all of the
+    A job is one parent circuit and its surviving extensions.  Each
+    parent's evolved state is replayed once (bit-identical to the serial
+    generator's incrementally-built state) and shared by all of the
     parent's candidates through the worker context's state cache.  When the
     context runs batched, the whole chunk goes through one
     :meth:`~repro.semantics.fingerprint.FingerprintContext.hash_keys_batched`
     call, so candidates are grouped by instruction *across* the chunk's
-    parents and per-gate dispatch is paid once per distinct instruction —
-    this is why the pool ships explicit multi-job chunks instead of letting
-    ``Pool.map`` split jobs one by one.  The candidate statevectors ride
-    back alongside the keys (2^q amplitudes each — tiny at the q this
-    generator targets) so the main process can seed its own fingerprint
-    cache: the verifier's numeric phase screen reuses those states during
-    the ECC inserts, exactly as it does after a serial round.
+    parents and per-gate dispatch is paid once per distinct instruction.
+    The candidate statevectors ride back alongside the keys (2^q amplitudes
+    each — tiny at the q this generator targets) so the main process can
+    seed its own fingerprint cache: the verifier's numeric phase screen
+    reuses those states during the ECC inserts, exactly as it does after a
+    serial round.  A state entry may be None if the worker's cache evicted
+    it; the parent then recomputes it on demand.
     """
-    chunk, fault_token = payload
-    faults.apply_chunk_fault(fault_token)
-    context = _WORKER_CONTEXT
-    assert context is not None, "worker pool used before initialization"
     if context.batched:
         keys_per_job = context.hash_keys_batched(chunk)
     else:
@@ -124,75 +67,4 @@ def _hash_keys_for_chunk(payload):
             for inst in instructions
         ]
         results.append((keys, states))
-    return results
-
-
-# -- parent side -------------------------------------------------------------
-
-
-class ParallelFingerprintPool:
-    """A persistent worker pool computing fingerprint hash keys for RepGen.
-
-    Created once per :meth:`RepGen.generate` call and reused across rounds,
-    so workers amortize interpreter start-up and keep their state caches
-    warm between rounds.  Dispatch, per-chunk deadlines, retries and pool
-    respawn come from :class:`repro.workerpool.ResilientPool` (fault site
-    ``gen``).
-    """
-
-    def __init__(
-        self,
-        context_spec: dict,
-        workers: int,
-        *,
-        chunk_timeout: Optional[float] = None,
-        chunk_retries: Optional[int] = None,
-        perf: Optional[PerfRecorder] = None,
-    ) -> None:
-        self.workers = workers
-        self._pool = ResilientPool(
-            _hash_keys_for_chunk,
-            _init_worker,
-            (dict(context_spec),),
-            workers,
-            site="gen",
-            chunk_timeout=chunk_timeout,
-            chunk_retries=chunk_retries,
-            perf=perf,
-        )
-
-    def hash_keys(
-        self,
-        jobs: Sequence[FingerprintJob],
-        *,
-        round_index: Optional[int] = None,
-    ) -> List[Tuple[List[int], list]]:
-        """Per job, in job order: (hash keys, candidate evolved states).
-
-        Job order is what makes the parent's merge deterministic.  Jobs are
-        sharded in explicit contiguous chunks (the sizing ``Pool.map``
-        would have used) so a batched worker context can group candidates
-        by instruction across every parent of its chunk.  A state entry may
-        be None if the worker's cache evicted it — possible when one
-        parent's extensions (per-state path) or one chunk's total
-        candidates (batched path) exceed the cache bound; unseeded states
-        are simply recomputed by the parent on demand.
-
-        ``round_index`` is only consumed by round-targeted fault-injection
-        entries (``kill_worker:gen:round2``); it never affects results.
-        """
-        if not jobs:
-            return []
-        chunk_size = max(1, len(jobs) // (self.workers * 4))
-        chunks = [jobs[i : i + chunk_size] for i in range(0, len(jobs), chunk_size)]
-        per_chunk = self._pool.run_chunks(chunks, round_index=round_index)
-        return [job_result for chunk_result in per_chunk for job_result in chunk_result]
-
-    def close(self) -> None:
-        self._pool.close()
-
-    def __enter__(self) -> "ParallelFingerprintPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    return results, {}

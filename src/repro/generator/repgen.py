@@ -19,16 +19,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro import faults
-from repro.envconfig import env_resume
-from repro.errors import CheckpointError, FaultInjected, PoolError
+from repro.envconfig import VERIFY_WORKERS_ENV_VAR, WORKERS_ENV_VAR, env_resume
+from repro.errors import CheckpointError, FaultInjected
 from repro.generator.cache import CacheKey, ECCCache, backend_kind, cache_key
 from repro.generator.ecc import ECC, ECCSet, circuit_from_payload, circuit_to_payload
-from repro.generator.parallel import (
-    MIN_PARALLEL_CANDIDATES,
-    FingerprintJob,
-    ParallelFingerprintPool,
-    resolve_workers,
-)
+from repro.generator.parallel import hash_keys_for_chunk
 from repro.ir.circuit import Circuit, Instruction
 from repro.ir.gates import Gate
 from repro.ir.gatesets import GateSet
@@ -36,11 +31,8 @@ from repro.ir.params import Angle, ParamSpec
 from repro.perf import PerfRecorder
 from repro.semantics.fingerprint import FingerprintContext
 from repro.verifier.equivalence import EquivalenceVerifier, VerifierStats
-from repro.verifier.parallel import (
-    MIN_PARALLEL_VERIFY_PAIRS,
-    ParallelVerifierPool,
-    resolve_verify_workers,
-)
+from repro.verifier.parallel import verify_chunk
+from repro.workerpool import ShardMap, resolve_workers
 
 #: Seed for the fingerprint context's random inputs.  Part of the cache key:
 #: two runs agree bit-for-bit only when their seeds agree.
@@ -52,6 +44,20 @@ DEFAULT_SEED = 20220433
 #: the bound falls back to the parent verifier (identical verdicts), so
 #: this trades parallel coverage for total work, never correctness.
 SPECULATIVE_BUCKET_BOUND = 8
+
+#: Rounds with fewer candidates than this fingerprint in-process even when
+#: a pool is up: the per-candidate work is ~a few microseconds, so IPC
+#: would dominate.
+MIN_SHARDED_CANDIDATES = 64
+
+#: Rounds with fewer candidate pairs than this verify in-process even when
+#: a pool is up: a single check costs ~a millisecond, so for tiny batches
+#: the pickling round-trip would dominate.
+MIN_SHARDED_PAIRS = 16
+
+# One fingerprint job per parent: the parent circuit and its surviving
+# extensions.
+FingerprintJob = Tuple[Circuit, Sequence[Instruction]]
 
 
 @dataclass
@@ -165,8 +171,8 @@ class RepGen:
         self.gate_set = gate_set
         self.num_qubits = num_qubits
         self.seed = seed
-        self.workers = resolve_workers(workers)
-        self.verify_workers = resolve_verify_workers(verify_workers)
+        self.workers = resolve_workers(workers, WORKERS_ENV_VAR)
+        self.verify_workers = resolve_workers(verify_workers, VERIFY_WORKERS_ENV_VAR)
         # Raw knobs: the pools resolve None against the environment, so a
         # RepGen built without explicit values still honors REPRO_CHUNK_*.
         self.chunk_timeout = chunk_timeout
@@ -451,14 +457,34 @@ class RepGen:
             rep_keys.add(representative.sequence_key())
             reps_by_size.setdefault(len(representative), []).append(representative)
 
-        # Pools are created inside the try so that *any* failure between
-        # here and the end of the round loop — including pool construction
-        # partially succeeding — still terminates every worker process.
-        pool = None
-        verify_pool = None
-        try:
-            pool = self._make_pool()
-            verify_pool = self._make_verify_pool()
+        # The with-statement terminates every worker process on *any*
+        # failure between here and the end of the round loop — including
+        # the second pool failing to construct after the first one started.
+        pool_knobs = dict(
+            chunk_timeout=self.chunk_timeout,
+            chunk_retries=self.chunk_retries,
+            perf=self.perf,
+        )
+        verify_workers = self._verify_pool_size()
+        with ShardMap(
+            "gen",
+            FingerprintContext.from_spec,
+            self.fingerprints.spec(),
+            hash_keys_for_chunk,
+            self.workers,
+            min_batch=MIN_SHARDED_CANDIDATES,
+            **pool_knobs,
+        ) as fingerprint_map, ShardMap(
+            "verify",
+            EquivalenceVerifier.from_spec,
+            # Only a stock verifier is rebuilt in workers (see
+            # _verify_pool_size).
+            self.verifier.spec() if verify_workers >= 2 else None,
+            verify_chunk,
+            verify_workers,
+            min_batch=MIN_SHARDED_PAIRS,
+            **pool_knobs,
+        ) as verify_map:
             for round_index in range(start_round, max_gates + 1):
                 round_start = time.perf_counter()
                 parents = reps_by_size.get(round_index - 1, [])
@@ -497,7 +523,9 @@ class RepGen:
                 # only looks verdicts up, so the assignment of candidates to
                 # classes is identical to the serial path no matter which
                 # worker answered first.
-                keys_per_job = self._fingerprint_jobs(jobs, pool, round_index)
+                keys_per_job = self._fingerprint_jobs(
+                    jobs, fingerprint_map, round_index
+                )
                 candidates: List[Circuit] = []
                 candidate_keys: List[int] = []
                 for (parent, extensions), keys in zip(jobs, keys_per_job):
@@ -505,7 +533,7 @@ class RepGen:
                         candidates.append(parent.appended(inst))
                         candidate_keys.append(hash_key)
                 verdicts = self._verify_round_table(
-                    candidates, candidate_keys, eccs, ecc_buckets, verify_pool,
+                    candidates, candidate_keys, eccs, ecc_buckets, verify_map,
                     round_index,
                 )
                 for index, (candidate, hash_key) in enumerate(
@@ -552,11 +580,6 @@ class RepGen:
                     raise FaultInjected(
                         f"injected crash_run after round {round_index}"
                     )
-        finally:
-            if pool is not None:
-                pool.close()
-            if verify_pool is not None:
-                verify_pool.close()
 
         representatives = [ecc.representative for ecc in eccs]
         result_set = ECCSet(
@@ -590,78 +613,24 @@ class RepGen:
 
     # -- helpers --------------------------------------------------------------------
 
-    def _make_pool(self) -> Optional[ParallelFingerprintPool]:
-        """Create the round-sharding worker pool, or None for serial runs.
+    def _verify_pool_size(self) -> int:
+        """Verifier workers, or 1 when a custom verifier forbids sharding.
 
-        Pool setup failures (restricted platforms, unpicklable gate
-        registries, ...) degrade to the serial path: parallelism must never
-        change whether generation succeeds.
+        Workers rebuilt from :meth:`EquivalenceVerifier.spec` could answer
+        differently than a verifier subclass and break the byte-identity
+        guarantee, so a subclass verifies in-process.
         """
-        if self.workers < 2:
-            return None
-        try:
-            pool = ParallelFingerprintPool(
-                self.fingerprints.spec(),
-                self.workers,
-                chunk_timeout=self.chunk_timeout,
-                chunk_retries=self.chunk_retries,
-                perf=self.perf,
-            )
-        except Exception as error:  # noqa: BLE001 — any failure means "go serial"
-            warnings.warn(
-                f"could not start {self.workers} fingerprint workers "
-                f"({error}); generating serially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self.perf.count("repgen.parallel.pool_failures")
-            return None
-        self.perf.count("repgen.parallel.pools")
-        self.perf.count("repgen.parallel.workers", self.workers)
-        return pool
-
-    def _make_verify_pool(self) -> Optional[ParallelVerifierPool]:
-        """Create the bucket-verification worker pool, or None for serial runs.
-
-        Mirrors :meth:`_make_pool`: any setup failure degrades to the serial
-        path — parallel verification must never change whether generation
-        succeeds.  A custom verifier subclass also falls back to serial,
-        because workers rebuilt from :meth:`EquivalenceVerifier.spec` could
-        answer differently than the subclass and break the byte-identity
-        guarantee.
-        """
-        if self.verify_workers < 2:
-            return None
-        if type(self.verifier) is not EquivalenceVerifier:
-            warnings.warn(
-                "parallel verification supports only stock EquivalenceVerifier "
-                f"instances, not {type(self.verifier).__name__}; verifying "
-                "serially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self.perf.count("verifier.parallel.unsupported_verifier")
-            return None
-        try:
-            pool = ParallelVerifierPool(
-                self.verifier.spec(),
-                self.verify_workers,
-                chunk_timeout=self.chunk_timeout,
-                chunk_retries=self.chunk_retries,
-                perf=self.perf,
-            )
-        except Exception as error:  # noqa: BLE001 — any failure means "go serial"
-            warnings.warn(
-                f"could not start {self.verify_workers} verifier workers "
-                f"({error}); verifying serially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self.perf.count("verifier.parallel.pool_failures")
-            return None
-        self.perf.count("verifier.parallel.pools")
-        self.perf.count("verifier.parallel.workers", self.verify_workers)
-        return pool
+        if self.verify_workers < 2 or type(self.verifier) is EquivalenceVerifier:
+            return self.verify_workers
+        warnings.warn(
+            "parallel verification supports only stock EquivalenceVerifier "
+            f"instances, not {type(self.verifier).__name__}; verifying "
+            "serially",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+        self.perf.count("verifier.parallel.unsupported_verifier")
+        return 1
 
     def _verify_round_table(
         self,
@@ -669,7 +638,7 @@ class RepGen:
         keys: List[int],
         eccs: List[ECC],
         ecc_buckets: Dict[int, List[int]],
-        pool: Optional[ParallelVerifierPool],
+        verify_map: ShardMap,
         round_index: Optional[int] = None,
     ) -> Optional["_RoundVerdicts"]:
         """Precompute every verdict this round's inserts could ask for.
@@ -694,10 +663,9 @@ class RepGen:
           how much work runs in parallel, never the output.
 
         Returns None when the round should verify serially (no pool, batch
-        below :data:`MIN_PARALLEL_VERIFY_PAIRS`, or the pool failed — the
-        latter with a warning, like the fingerprint pool).
+        below :data:`MIN_SHARDED_PAIRS`, or the round degraded).
         """
-        if pool is None or not candidates:
+        if not verify_map.active or not candidates:
             return None
         pairs = []
         pair_ids = []
@@ -722,39 +690,21 @@ class RepGen:
                         break
                     pairs.append((candidates[index], candidates[earlier]))
                     pair_ids.append((index, ("cand", earlier)))
-        if len(pairs) < MIN_PARALLEL_VERIFY_PAIRS:
+        outcomes = verify_map.map(pairs, round_index=round_index)
+        if outcomes is None:
             return None
-        try:
-            results, worker_stats, worker_counters = pool.verify_pairs(
-                pairs, round_index=round_index
-            )
-        except PoolError as error:
-            # Only infrastructure failures that already survived the pool's
-            # own retry/respawn loop land here; anything else escaping the
-            # pool is a bug and must surface, not silently degrade.
-            warnings.warn(
-                f"verifier worker pool failed ({error}); "
-                "falling back to serial verification",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-            self.perf.count("verifier.parallel.round_failures")
-            self.perf.count("resilience.rounds_degraded")
-            return None
-        self._worker_verifier_stats.add(worker_stats)
-        self.perf.merge_counts(worker_counters)
-        self.perf.merge_counts(
-            {
-                "verifier.parallel.rounds": 1,
-                "verifier.parallel.pairs": len(pairs),
-            }
+        self._worker_verifier_stats.add(
+            VerifierStats.merge(stats for _, stats in outcomes)
         )
-        return _RoundVerdicts(dict(zip(pair_ids, results)), len(eccs))
+        return _RoundVerdicts(
+            {pair_id: result for pair_id, (result, _) in zip(pair_ids, outcomes)},
+            len(eccs),
+        )
 
     def _fingerprint_jobs(
         self,
         jobs: List[FingerprintJob],
-        pool: Optional[ParallelFingerprintPool],
+        fingerprint_map: ShardMap,
         round_index: Optional[int] = None,
     ) -> List[List[int]]:
         """Hash keys for every job, sharded across the pool when worthwhile.
@@ -763,47 +713,31 @@ class RepGen:
         therefore the resulting ECC set — is identical to the serial path.
         """
         total = sum(len(extensions) for _, extensions in jobs)
-        if pool is not None and total >= MIN_PARALLEL_CANDIDATES:
-            try:
-                results = pool.hash_keys(jobs, round_index=round_index)
-                # Seed the main-process fingerprint cache with the worker
-                # states so the verifier's phase screen hits on them during
-                # the inserts, exactly as it would after a serial round.
-                seeded = 0
-                keys: List[List[int]] = []
-                for (parent, extensions), (job_keys, job_states) in zip(
-                    jobs, results
-                ):
-                    keys.append(job_keys)
-                    parent_key = parent.sequence_key()
-                    for inst, state in zip(extensions, job_states):
-                        if state is not None:
-                            self.fingerprints.seed_state(
-                                parent_key + (inst.sort_key(),), state
-                            )
-                            seeded += 1
-                self.perf.merge_counts(
-                    {
-                        "repgen.parallel.rounds": 1,
-                        "repgen.parallel.candidates": total,
-                        "repgen.parallel.jobs": len(jobs),
-                        "repgen.parallel.states_seeded": seeded,
-                    }
-                )
-                return keys
-            except PoolError as error:
-                # Only infrastructure failures that already survived the
-                # pool's own retry/respawn loop; a serial re-run of the
-                # round computes the exact same keys, so degrading here
-                # never changes the output.
-                warnings.warn(
-                    f"fingerprint worker pool failed ({error}); "
-                    "falling back to serial fingerprinting",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                self.perf.count("repgen.parallel.round_failures")
-                self.perf.count("resilience.rounds_degraded")
+        results = fingerprint_map.map(
+            jobs, round_index=round_index, batch_size=total
+        )
+        if results is not None:
+            # Seed the main-process fingerprint cache with the worker
+            # states so the verifier's phase screen hits on them during
+            # the inserts, exactly as it would after a serial round.
+            seeded = 0
+            keys: List[List[int]] = []
+            for (parent, extensions), (job_keys, job_states) in zip(jobs, results):
+                keys.append(job_keys)
+                parent_key = parent.sequence_key()
+                for inst, state in zip(extensions, job_states):
+                    if state is not None:
+                        self.fingerprints.seed_state(
+                            parent_key + (inst.sort_key(),), state
+                        )
+                        seeded += 1
+            self.perf.merge_counts(
+                {
+                    "repgen.parallel.candidates": total,
+                    "repgen.parallel.states_seeded": seeded,
+                }
+            )
+            return keys
         if self.batched:
             # One batched evaluation for the whole round: candidates are
             # grouped by instruction inside the context, so per-gate

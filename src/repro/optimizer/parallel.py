@@ -1,95 +1,62 @@
-"""Work-sharing parallel search and portfolio racing.
+"""Work-sharing parallel search: the ``parallel-backtracking`` strategy.
 
 Generation and verification already scale across worker pools with
 byte-identical output; this module applies the same frontier-sharding +
 deterministic-merge discipline to the search phase, which dominates warm
-end-to-end latency.  Two strategies ride the existing registry:
-
-* ``"parallel-backtracking"`` — a wave-synchronous variant of Algorithm 2.
-  The parent owns the priority queue, the seen-set and the incumbent best;
-  each wave pops the ``wave_width`` cheapest frontier circuits and shards
-  their *expansion* (matching + successor costing, the numeric bulk of an
-  iteration) across a persistent :class:`repro.workerpool.ResilientPool`.
-  Workers are pure: a chunk's successors are a function of the chunk
-  payload and the picklable search spec alone, so per-chunk retries,
-  timeouts and pool respawns (fault site ``"search"``) re-produce the
-  exact bytes the first dispatch would have.  The parent merges successor
-  lists back in enumeration order — job order, then the worker's own
-  successor order — and admits them through the same seen-set/gamma gates
-  the serial loop uses, so the search is deterministic for a fixed
-  ``wave_width`` regardless of worker count or completion order.
-
-* ``"portfolio"`` — races several registered strategies (default:
-  backtracking / greedy / beam; roster via ``REPRO_PORTFOLIO``) over the
-  same circuit under a shared deadline.  Once a racer completes with a
-  circuit that beats the incumbent (the input cost), the remaining racers
-  are cooperatively cancelled (``stop_check``); the winner is chosen by
-  the deterministic rule below, never by finish order.
+end-to-end latency.  ``"parallel-backtracking"`` is a wave-synchronous
+variant of Algorithm 2: the parent owns the priority queue, the seen-set
+and the incumbent best; each wave pops the ``wave_width`` cheapest
+frontier circuits and shards their *expansion* (matching + successor
+costing, the numeric bulk of an iteration) across a persistent
+:class:`repro.workerpool.ShardMap` (fault site ``"search"``).  Workers are
+pure: a chunk's successors are a function of the chunk payload and the
+picklable search spec alone, so per-chunk retries, timeouts and pool
+respawns re-produce the exact bytes the first dispatch would have.  The
+parent merges successor lists back in enumeration order — job order, then
+the worker's own successor order — and admits them through the same
+seen-set/gamma gates the serial loop uses, so the search is deterministic
+for a fixed ``wave_width`` regardless of worker count or completion order.
 
 Determinism contract:
 
 * The best-result rule is total and order-free: a candidate displaces the
-  incumbent iff ``(cost, canonical_key)`` is strictly smaller; for the
-  portfolio the racer index breaks exact ties.  Shard order cannot matter:
-  equal ``(cost, key)`` means the *same* canonical circuit, and the
-  enumeration-order merge makes the earlier shard win that vacuous tie.
+  incumbent iff ``(cost, canonical_key)`` is strictly smaller.  Shard
+  order cannot matter: equal ``(cost, key)`` means the *same* canonical
+  circuit, and the enumeration-order merge makes the earlier shard win
+  that vacuous tie.
 * ``workers=1`` runs the identical wave algorithm in-process, so the
   serial reference and every worker count produce byte-identical best
   circuits (``scripts/check_search_identity.py`` gates this in CI at 2
   and 4 workers, including under injected kill/delay/fail faults).
-* Full portfolio determinism additionally requires ``early_cancel=False``
-  (every racer runs to its budget); with cancellation on, the winner
-  still always beats the incumbent whenever any racer does, but a loser's
-  partial result depends on when the cancel landed.
 
-Failure policy matches the other pools: any failure to set up or use the
-pool (``PoolError`` after the retry budget) degrades *this search* to the
-serial path with a ``RuntimeWarning`` — parallelism is an optimization,
-never a correctness dependency.
+Failure policy is the :class:`~repro.workerpool.ShardMap` one shared with
+RepGen: a pool that cannot start leaves the search in-process, and a wave
+whose chunks exhaust their retries is expanded in-process (counted as
+``resilience.rounds_degraded``) while the pool stays up for the next wave.
 """
 
 from __future__ import annotations
 
 import heapq
-import inspect
 import itertools
-import threading
 import time
-import warnings
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import faults
-from repro.envconfig import (
-    PORTFOLIO_ENV_VAR,
-    SEARCH_WORKERS_ENV_VAR,
-    env_portfolio_optional,
-    env_search_workers,
-)
-from repro.errors import PoolError
+from repro.envconfig import SEARCH_WORKERS_ENV_VAR
 from repro.ir.circuit import Circuit
 from repro.optimizer.cost import CostModel, GateCountCost
 from repro.optimizer.matcher import PatternMatcher
 from repro.optimizer.search import OptimizationResult
-from repro.optimizer.strategies import (
-    SearchStrategy,
-    available_strategies,
-    get_strategy,
-    register_strategy,
-)
+from repro.optimizer.strategies import SearchStrategy, register_strategy
 from repro.optimizer.xfer import Transformation
 from repro.perf import PerfRecorder
-from repro.workerpool import ResilientPool
+from repro.workerpool import ShardMap, resolve_workers
 
 __all__ = [
-    "SEARCH_WORKERS_ENV_VAR",
-    "PORTFOLIO_ENV_VAR",
     "DEFAULT_WAVE_WIDTH",
-    "DEFAULT_PORTFOLIO",
     "MIN_PARALLEL_WAVE",
     "ParallelSearchContext",
     "ParallelBacktrackingStrategy",
-    "PortfolioStrategy",
-    "resolve_search_workers",
 ]
 
 #: Frontier circuits expanded per wave.  Deliberately *not* derived from the
@@ -102,22 +69,9 @@ DEFAULT_WAVE_WIDTH = 8
 #: job cannot shard, and the result is the same pure function either way.
 MIN_PARALLEL_WAVE = 2
 
-#: Roster raced when neither the ``racers`` option nor ``REPRO_PORTFOLIO``
-#: names one.  Serial strategies only: the parallel variant forks worker
-#: processes from a racer thread, which is safe but noisy on some
-#: platforms, so it joins the race by explicit opt-in.
-DEFAULT_PORTFOLIO: Tuple[str, ...] = ("backtracking", "greedy", "beam")
-
-
-def resolve_search_workers(workers: Optional[int] = None) -> int:
-    """Resolve a search worker count: explicit argument, else env, else 1.
-
-    Environment parsing (invalid and negative values warn and mean serial)
-    lives in :mod:`repro.envconfig` so every knob is parsed one way.
-    """
-    if workers is None:
-        return env_search_workers()
-    return max(int(workers), 1)
+#: One expansion job: a frontier circuit and the wave-start gamma bound its
+#: successors are pre-filtered against.
+ExpansionJob = Tuple[Circuit, float]
 
 
 # -- the picklable search spec ------------------------------------------------
@@ -163,13 +117,6 @@ class ParallelSearchContext:
 
 # -- worker side --------------------------------------------------------------
 
-_WORKER_SEARCH: Optional[ParallelSearchContext] = None
-
-
-def _init_search_worker(context_spec: dict) -> None:
-    global _WORKER_SEARCH
-    _WORKER_SEARCH = ParallelSearchContext.from_spec(context_spec)
-
 
 def _expand_circuit(
     context: ParallelSearchContext,
@@ -206,22 +153,14 @@ def _expand_circuit(
     return successors
 
 
-def _expand_chunk(payload):
-    """Per-job successor lists (plus perf counters) for a chunk of jobs.
-
-    ``payload`` is ``(chunk, fault_token)`` — the token (normally None) is
-    an injected-fault instruction executed before any real work, so chaos
-    tests can kill/delay/fail exactly one chunk deterministically.  The
-    chunk itself is ``(jobs, bound)``: the frontier circuits of this shard
-    and the wave-start gamma bound they are pre-filtered against.
-    """
-    chunk, fault_token = payload
-    faults.apply_chunk_fault(fault_token)
-    context = _WORKER_SEARCH
-    assert context is not None, "search worker pool used before initialization"
-    jobs, bound = chunk
+def _expand_chunk(
+    context: ParallelSearchContext, jobs: Sequence[ExpansionJob]
+) -> Tuple[List[List[Tuple[float, tuple, Circuit]]], Dict[str, int]]:
+    """Per-job successor lists, plus the chunk's perf counters."""
     perf = PerfRecorder()
-    results = [_expand_circuit(context, circuit, bound, perf) for circuit in jobs]
+    results = [
+        _expand_circuit(context, circuit, bound, perf) for circuit, bound in jobs
+    ]
     counters = {
         key: int(value)
         for key, value in perf.snapshot().items()
@@ -279,65 +218,47 @@ class ParallelBacktrackingStrategy(SearchStrategy):
         *,
         timeout_seconds=None,
         max_iterations=None,
-        stop_check=None,
     ):
         start = time.perf_counter()
         cost_model = cost_model or GateCountCost()
         perf = PerfRecorder()
-        workers = resolve_search_workers(self.workers)
+        workers = resolve_workers(self.workers, SEARCH_WORKERS_ENV_VAR)
         context = ParallelSearchContext(
             transformations, cost_model, self.max_matches_per_transformation
         )
-        pool: Optional[ResilientPool] = None
-        if workers >= 2:
-            try:
-                pool = ResilientPool(
-                    _expand_chunk,
-                    _init_search_worker,
-                    (context.spec(),),
-                    workers,
-                    site="search",
-                    chunk_timeout=self.chunk_timeout,
-                    chunk_retries=self.chunk_retries,
-                    perf=perf,
-                )
-            except PoolError as error:
-                warnings.warn(
-                    f"parallel search pool unavailable ({error}); "
-                    "searching serially",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                perf.count("search.pool_degraded")
-                pool = None
-        try:
+        with ShardMap(
+            "search",
+            ParallelSearchContext.from_spec,
+            context.spec(),
+            _expand_chunk,
+            workers,
+            min_batch=MIN_PARALLEL_WAVE,
+            chunk_timeout=self.chunk_timeout,
+            chunk_retries=self.chunk_retries,
+            perf=perf,
+        ) as expand_map:
             return self._search(
                 circuit,
                 context,
-                pool,
+                expand_map,
                 perf,
                 start,
                 workers,
                 timeout_seconds=timeout_seconds,
                 max_iterations=max_iterations,
-                stop_check=stop_check,
             )
-        finally:
-            if pool is not None:
-                pool.close()
 
     def _search(
         self,
         circuit: Circuit,
         context: ParallelSearchContext,
-        pool: Optional[ResilientPool],
+        expand_map: ShardMap,
         perf: PerfRecorder,
         start: float,
         workers: int,
         *,
         timeout_seconds: Optional[float],
         max_iterations: Optional[int],
-        stop_check: Optional[Callable[[], bool]],
     ) -> OptimizationResult:
         counter = itertools.count()
         initial_cost = context.cost_model.cost(circuit)
@@ -353,7 +274,6 @@ class ParallelBacktrackingStrategy(SearchStrategy):
         iterations = 0
         explored = 1
         timed_out = False
-        cancelled = False
         waves = 0
 
         while queue:
@@ -367,9 +287,6 @@ class ParallelBacktrackingStrategy(SearchStrategy):
                 break
             if max_iterations is not None and iterations >= max_iterations:
                 break
-            if stop_check is not None and stop_check():
-                cancelled = True
-                break
 
             width = min(self.wave_width, len(queue))
             if max_iterations is not None:
@@ -379,31 +296,18 @@ class ParallelBacktrackingStrategy(SearchStrategy):
             waves += 1
             perf.count("search.waves")
 
-            jobs = tuple(entry[3] for entry in wave)
             # The wave-start gamma bound is the workers' pre-filter; the
             # merge below re-checks against the *evolving* best, so the
             # pre-filter only cuts IPC, never changes admissions.
             bound = self.gamma * best_cost
-
-            expansions: Optional[List[List[Tuple[float, tuple, Circuit]]]] = None
-            if pool is not None and len(jobs) >= MIN_PARALLEL_WAVE:
-                try:
-                    expansions = self._expand_parallel(
-                        jobs, bound, pool, perf, waves, workers
-                    )
-                except PoolError as error:
-                    warnings.warn(
-                        f"parallel search degraded to serial ({error})",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    perf.count("search.pool_degraded")
-                    pool.close()
-                    pool = None
+            jobs = [(entry[3], bound) for entry in wave]
+            # ``waves`` feeds round-targeted fault entries
+            # (``kill_worker:search:round2``) only.
+            expansions = expand_map.map(jobs, round_index=waves)
             if expansions is None:
                 expansions = [
                     _expand_circuit(context, current, bound, perf)
-                    for current in jobs
+                    for current, _ in jobs
                 ]
 
             # Deterministic merge: enumeration order (job order, then the
@@ -448,256 +352,12 @@ class ParallelBacktrackingStrategy(SearchStrategy):
             timed_out=timed_out,
             cost_trace=cost_trace,
             perf=perf.snapshot(),
-            cancelled=cancelled,
             metadata={
                 "search_workers": workers,
                 "waves": waves,
-                "pool_active": pool is not None,
-            },
-        )
-
-    def _expand_parallel(
-        self,
-        jobs: Tuple[Circuit, ...],
-        bound: float,
-        pool: ResilientPool,
-        perf: PerfRecorder,
-        wave_index: int,
-        workers: int,
-    ) -> List[List[Tuple[float, tuple, Circuit]]]:
-        """Shard one wave across the pool; per-job results in job order.
-
-        Chunk layout (how many jobs each worker gets) may depend on the
-        worker count — the merge flattens per-chunk results back into job
-        order, so layout cannot affect what the parent sees.
-        ``wave_index`` is only consumed by round-targeted fault entries
-        (``kill_worker:search:round2``); it never affects results.
-        """
-        chunk_size = max(1, len(jobs) // (workers * 2))
-        chunks = [
-            (jobs[i : i + chunk_size], bound)
-            for i in range(0, len(jobs), chunk_size)
-        ]
-        perf.count("search.parallel_chunks", len(chunks))
-        per_chunk = pool.run_chunks(chunks, round_index=wave_index)
-        expansions: List[List[Tuple[float, tuple, Circuit]]] = []
-        for results, counters in per_chunk:
-            perf.merge_counts(counters)
-            expansions.extend(results)
-        return expansions
-
-
-# -- portfolio racing ---------------------------------------------------------
-
-
-def _accepts_stop_check(strategy: SearchStrategy) -> bool:
-    """Whether a racer's ``run`` accepts cooperative cancellation."""
-    try:
-        parameters = inspect.signature(strategy.run).parameters
-    except (TypeError, ValueError):  # builtins / odd callables: assume not
-        return False
-    if "stop_check" in parameters:
-        return True
-    return any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
-
-
-class PortfolioStrategy(SearchStrategy):
-    """Race several registered strategies; deterministic winner rule.
-
-    Racers run concurrently in threads over the same circuit and rule set,
-    each under the shared ``timeout_seconds`` deadline and its own
-    ``max_iterations`` budget.  When ``early_cancel`` is on (the default)
-    the first racer to *complete* with a circuit cheaper than the input
-    cancels the rest cooperatively.  The winner is the minimum over racer
-    results of ``(final cost, canonical key of the best circuit, racer
-    index)`` — finish order never decides.
-
-    Roster resolution: the ``racers`` option wins, else ``REPRO_PORTFOLIO``
-    (comma-separated), else backtracking/greedy/beam.  Unknown names warn
-    and are dropped; an empty roster warns and falls back to the default.
-    ``"parallel-backtracking"`` may be raced too (give it ``workers``); it
-    is not in the default roster because it forks worker processes from a
-    racer thread.
-    """
-
-    name = "portfolio"
-    supports_workers = True
-
-    def __init__(
-        self,
-        *,
-        racers: Optional[Sequence[str]] = None,
-        workers: Optional[int] = None,
-        early_cancel: bool = True,
-    ) -> None:
-        roster = tuple(racers) if racers is not None else env_portfolio_optional()
-        if roster is None:
-            roster = DEFAULT_PORTFOLIO
-        registered = set(available_strategies())
-        usable: List[str] = []
-        for entry in roster:
-            key = str(entry).strip().lower()
-            if key == self.name:
-                warnings.warn(
-                    "a portfolio cannot race itself; dropping 'portfolio' "
-                    "from the roster",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
-            if key not in registered:
-                warnings.warn(
-                    f"unknown portfolio racer {entry!r}; dropping it "
-                    f"(registered: {', '.join(sorted(registered))})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
-            usable.append(key)
-        if not usable:
-            warnings.warn(
-                "no usable portfolio racers; racing the default roster "
-                + "/".join(DEFAULT_PORTFOLIO),
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            usable = list(DEFAULT_PORTFOLIO)
-        self.racers: Tuple[str, ...] = tuple(usable)
-        self.workers = workers
-        self.early_cancel = early_cancel
-
-    def _build_racer(self, name: str) -> SearchStrategy:
-        if name == "parallel-backtracking":
-            return get_strategy(name, workers=self.workers)
-        return get_strategy(name)
-
-    def run(
-        self,
-        circuit,
-        transformations,
-        cost_model=None,
-        *,
-        timeout_seconds=None,
-        max_iterations=None,
-        stop_check=None,
-    ):
-        start = time.perf_counter()
-        cost_model = cost_model or GateCountCost()
-        strategies = [self._build_racer(name) for name in self.racers]
-        incumbent_cost = cost_model.cost(circuit)
-
-        stop = threading.Event()
-        results: List[Optional[OptimizationResult]] = [None] * len(strategies)
-        errors: List[BaseException] = []
-
-        def racer_stop() -> bool:
-            if stop.is_set():
-                return True
-            return stop_check is not None and stop_check()
-
-        def run_racer(index: int, strategy: SearchStrategy) -> None:
-            kwargs: Dict[str, Any] = dict(
-                timeout_seconds=timeout_seconds, max_iterations=max_iterations
-            )
-            if _accepts_stop_check(strategy):
-                kwargs["stop_check"] = racer_stop
-            try:
-                result = strategy.run(
-                    circuit, transformations, cost_model, **kwargs
-                )
-            except BaseException as error:  # noqa: BLE001 — re-raised in the
-                # parent after the join; a racer's programming error must
-                # surface, not silently shrink the race.
-                errors.append(error)
-                stop.set()
-                return
-            results[index] = result
-            if (
-                self.early_cancel
-                and not result.cancelled
-                and result.final_cost < incumbent_cost
-            ):
-                stop.set()
-
-        threads = [
-            threading.Thread(
-                target=run_racer,
-                args=(index, strategy),
-                name=f"portfolio-{self.racers[index]}",
-            )
-            for index, strategy in enumerate(strategies)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-
-        ranked = [
-            (result.final_cost, result.circuit.canonical_key(), index)
-            for index, result in enumerate(results)
-            if result is not None
-        ]
-        assert ranked, "every racer returned a result or raised"
-        _, _, win_index = min(ranked)
-        winner = results[win_index]
-        assert winner is not None
-
-        perf = PerfRecorder()
-        for result in results:
-            if result is not None:
-                perf.merge_counts(
-                    {
-                        key: value
-                        for key, value in result.perf.items()
-                        if isinstance(value, int)
-                    }
-                )
-        perf.count("search.racers", len(self.racers))
-        cancelled_racers = [
-            name
-            for name, result in zip(self.racers, results)
-            if result is not None and result.cancelled
-        ]
-        if cancelled_racers:
-            perf.count("search.cancelled_racers", len(cancelled_racers))
-
-        return OptimizationResult(
-            circuit=winner.circuit,
-            initial_cost=winner.initial_cost,
-            final_cost=winner.final_cost,
-            iterations=sum(r.iterations for r in results if r is not None),
-            circuits_explored=sum(
-                r.circuits_explored for r in results if r is not None
-            ),
-            time_seconds=time.perf_counter() - start,
-            timed_out=winner.timed_out,
-            cost_trace=list(winner.cost_trace),
-            perf=perf.snapshot(),
-            cancelled=bool(stop_check is not None and stop_check()),
-            metadata={
-                "winner": self.racers[win_index],
-                "search_workers": resolve_search_workers(self.workers),
-                "early_cancel": self.early_cancel,
-                "racers": [
-                    {
-                        "racer": name,
-                        "final_cost": result.final_cost,
-                        "iterations": result.iterations,
-                        "circuits_explored": result.circuits_explored,
-                        "cancelled": result.cancelled,
-                        "timed_out": result.timed_out,
-                    }
-                    for name, result in zip(self.racers, results)
-                    if result is not None
-                ],
+                "pool_active": expand_map.active,
             },
         )
 
 
 register_strategy("parallel-backtracking", ParallelBacktrackingStrategy)
-register_strategy("portfolio", PortfolioStrategy)

@@ -17,7 +17,7 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.circuit import Circuit
 from repro.optimizer.cost import CostModel, GateCountCost
@@ -43,11 +43,8 @@ class OptimizationResult:
     # Hot-path instrumentation: matcher calls, match cache hit rates,
     # transformations skipped by the gate-multiset index (see repro.perf).
     perf: Dict[str, float] = field(default_factory=dict)
-    # True when a cooperative stop (portfolio early cancellation) ended the
-    # search before its own budgets did.
-    cancelled: bool = False
     # Strategy-specific extras: worker counts and wave statistics for the
-    # parallel search, per-racer outcomes and the winner for the portfolio.
+    # parallel search.
     metadata: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -94,15 +91,8 @@ class BacktrackingOptimizer:
         *,
         timeout_seconds: Optional[float] = None,
         max_iterations: Optional[int] = None,
-        stop_check: Optional[Callable[[], bool]] = None,
     ) -> OptimizationResult:
-        """Run the search and return the best circuit found.
-
-        ``stop_check`` is a cooperative cancellation hook (consulted once
-        per iteration): when it returns True the search stops early and
-        the result carries ``cancelled=True`` with the best found so far.
-        The portfolio strategy uses it to stop losing racers.
-        """
+        """Run the search and return the best circuit found."""
         start = time.perf_counter()
         counter = itertools.count()
         perf = PerfRecorder()
@@ -118,7 +108,6 @@ class BacktrackingOptimizer:
         iterations = 0
         explored = 1
         timed_out = False
-        cancelled = False
         max_matches = self.max_matches_per_transformation
 
         while queue:
@@ -130,9 +119,6 @@ class BacktrackingOptimizer:
                 timed_out = True
                 break
             if max_iterations is not None and iterations >= max_iterations:
-                break
-            if stop_check is not None and stop_check():
-                cancelled = True
                 break
             cost, _, current = heapq.heappop(queue)
             iterations += 1
@@ -213,43 +199,5 @@ class BacktrackingOptimizer:
             timed_out=timed_out,
             cost_trace=cost_trace,
             perf=perf.snapshot(),
-            cancelled=cancelled,
         )
 
-
-def greedy_optimize(
-    circuit: Circuit,
-    transformations: Sequence[Transformation],
-    cost_model: Optional[CostModel] = None,
-    *,
-    max_iterations: Optional[int] = None,
-    timeout_seconds: Optional[float] = None,
-) -> OptimizationResult:
-    """Greedy search: only strictly cost-decreasing rewrites (gamma = 1).
-
-    .. deprecated:: 0.2
-        ``greedy_optimize`` is a thin shim over the ``"greedy"`` entry of
-        the strategy registry; use
-        ``repro.api.Superoptimizer(search=SearchConfig(strategy="greedy"))``
-        or ``repro.optimizer.strategies.get_strategy("greedy")`` instead.
-        The shim stays for one release of grace and returns exactly what it
-        always returned (Algorithm 2 with gamma = 1 and a small queue).
-    """
-    import warnings
-
-    warnings.warn(
-        "greedy_optimize is deprecated; use repro.api.Superoptimizer with "
-        "SearchConfig(strategy='greedy'), or "
-        "repro.optimizer.strategies.get_strategy('greedy')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.optimizer.strategies import get_strategy
-
-    return get_strategy("greedy").run(
-        circuit,
-        transformations,
-        cost_model,
-        timeout_seconds=timeout_seconds,
-        max_iterations=max_iterations,
-    )

@@ -10,17 +10,14 @@ registry, so new scenarios plug in a strategy instead of forking
 * ``"backtracking"`` — :class:`~repro.optimizer.search.BacktrackingOptimizer`
   (the paper's Algorithm 2; the default);
 * ``"greedy"``       — gamma = 1 with a small queue: only strictly
-  cost-decreasing rewrites (the behaviour of the legacy
-  :func:`~repro.optimizer.search.greedy_optimize`, which now routes here);
+  cost-decreasing rewrites;
 * ``"beam"``         — fixed-width frontier: every iteration expands the
   whole beam by every applicable transformation and keeps the cheapest
   ``beam_width`` distinct successors, which tolerates cost-preserving moves
   without an unbounded queue;
 * ``"parallel-backtracking"`` — the wave-synchronous work-sharing variant
   (frontier expansion sharded across a worker pool, byte-identical best
-  circuit regardless of worker count; see :mod:`repro.optimizer.parallel`);
-* ``"portfolio"``    — races several of the above concurrently with early
-  cancellation and a deterministic winner rule (same module).
+  circuit regardless of worker count; see :mod:`repro.optimizer.parallel`).
 
 Strategies are selected by name through
 :class:`repro.api.SearchConfig` (``strategy="beam"``) or obtained directly
@@ -51,12 +48,6 @@ class SearchStrategy:
     inputs.  ``name`` is the registry key and appears in run reports.
     ``supports_workers`` marks strategies that can use ``REPRO_SEARCH_WORKERS``
     worker processes (the ``registry`` CLI subcommand surfaces the flag).
-
-    ``stop_check`` is a cooperative cancellation hook: strategies consult
-    it at iteration boundaries and, when it returns True, stop early with
-    ``cancelled=True`` and the best result so far.  It defaults to None
-    (never stop) and exists so the portfolio strategy can halt losing
-    racers; strategies that ignore it simply run out their budgets.
     """
 
     name: str = "abstract"
@@ -70,7 +61,6 @@ class SearchStrategy:
         *,
         timeout_seconds: Optional[float] = None,
         max_iterations: Optional[int] = None,
-        stop_check: Optional[Callable[[], bool]] = None,
     ) -> OptimizationResult:
         raise NotImplementedError
 
@@ -104,7 +94,6 @@ class BacktrackingStrategy(SearchStrategy):
         *,
         timeout_seconds=None,
         max_iterations=None,
-        stop_check=None,
     ):
         optimizer = BacktrackingOptimizer(
             transformations,
@@ -118,17 +107,11 @@ class BacktrackingStrategy(SearchStrategy):
             circuit,
             timeout_seconds=timeout_seconds,
             max_iterations=max_iterations,
-            stop_check=stop_check,
         )
 
 
 class GreedyStrategy(BacktrackingStrategy):
-    """Gamma = 1 with a small queue: only strictly cost-decreasing rewrites.
-
-    Identical configuration to the legacy :func:`greedy_optimize` helper,
-    so routing that helper through the registry changes nothing about its
-    results.
-    """
+    """Gamma = 1 with a small queue: only strictly cost-decreasing rewrites."""
 
     name = "greedy"
 
@@ -180,7 +163,6 @@ class BeamStrategy(SearchStrategy):
         *,
         timeout_seconds=None,
         max_iterations=None,
-        stop_check=None,
     ):
         start = time.perf_counter()
         cost_model = cost_model or GateCountCost()
@@ -197,7 +179,6 @@ class BeamStrategy(SearchStrategy):
         iterations = 0
         explored = 1
         timed_out = False
-        cancelled = False
         max_matches = self.max_matches_per_transformation
 
         while beam:
@@ -206,9 +187,6 @@ class BeamStrategy(SearchStrategy):
                 timed_out = True
                 break
             if max_iterations is not None and iterations >= max_iterations:
-                break
-            if stop_check is not None and stop_check():
-                cancelled = True
                 break
             iterations += 1
 
@@ -267,7 +245,6 @@ class BeamStrategy(SearchStrategy):
             timed_out=timed_out,
             cost_trace=cost_trace,
             perf=perf.snapshot(),
-            cancelled=cancelled,
         )
 
 
@@ -315,9 +292,9 @@ register_strategy("backtracking", BacktrackingStrategy)
 register_strategy("greedy", GreedyStrategy)
 register_strategy("beam", BeamStrategy)
 
-# The parallel strategies live in their own module (worker-side code must
+# The parallel strategy lives in its own module (worker-side code must
 # be importable without pulling the registry in first) and register
-# themselves at *their* import bottom; importing the module here makes
+# itself at *its* import bottom; importing the module here makes
 # ``get_strategy("parallel-backtracking")`` work however the package is
 # entered.  The import is circular-safe in both directions: this module
 # only needs the submodule to *execute*, not any attribute of it.

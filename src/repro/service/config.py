@@ -26,10 +26,11 @@ from typing import Any
 
 from repro.api.config import RunConfig
 from repro.envconfig import (
+    SERVICE_WORKERS_ENV_VAR,
     env_service_batch_window_ms,
     env_service_max_queue,
     env_service_port,
-    env_service_workers,
+    env_worker_count,
 )
 
 __all__ = ["ServiceConfig", "DEFAULT_HOST"]
@@ -86,7 +87,7 @@ class ServiceConfig:
             run_config = run_config.with_overrides(resume=True)
         config = cls(
             port=env_service_port(),
-            workers=env_service_workers(),
+            workers=env_worker_count(SERVICE_WORKERS_ENV_VAR) or 1,
             batch_window_ms=env_service_batch_window_ms(),
             max_queue=env_service_max_queue(),
             run_config=run_config,

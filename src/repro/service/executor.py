@@ -23,9 +23,10 @@ Two executors share that entry point:
   flaky runner proves retry-then-recover, an always-failing one proves
   the 500/``RetryExhausted`` path without spawning processes.
 * :class:`PoolExecutor` (``workers >= 2``) dispatches to a persistent
-  :class:`~repro.workerpool.ResilientPool` whose workers each hold their
-  own warm-facade table (built by the initializer from the picklable
-  base-config spec, mirroring ``generator/parallel.py``).  Because
+  :func:`~repro.workerpool.spec_pool` whose workers each hold their own
+  warm-facade table (pre-warmed from the picklable base-config spec by the
+  same spec-initialized workers the generator and search shard through).
+  Because
   ``run_chunks`` is a synchronous wave primitive, a dedicated dispatch
   thread gathers concurrently submitted jobs into one wave of up to
   ``workers`` single-job chunks — concurrent requests ride one wave and
@@ -42,11 +43,10 @@ import time
 from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro import faults
 from repro.api.config import RunConfig
 from repro.api.facade import RunReport, Superoptimizer
 from repro.errors import FaultInjected, PoolError, RetryExhausted
-from repro.workerpool import ResilientPool, resolve_chunk_retries
+from repro.workerpool import resolve_chunk_retries, spec_pool
 
 __all__ = [
     "execute_job",
@@ -127,25 +127,20 @@ class InlineExecutor:
 
 # -- pool mode ----------------------------------------------------------------
 
-_WORKER_BASE_CONFIG: Optional[Dict[str, Any]] = None  # repro: allow(mutable-module-global): set once by the pool initializer, read-only afterwards
 
-
-def _init_service_worker(base_config: Dict[str, Any]) -> None:
-    """Pool initializer: remember the base config and pre-warm its facade.
+def _warm_base_facade(base_config: Dict[str, Any]) -> Superoptimizer:
+    """Worker builder: pre-warm the base config's facade.
 
     Pre-warming runs generation + transformation extraction once per
     worker at pool start, so the first real request does not pay for it.
     """
-    global _WORKER_BASE_CONFIG
-    _WORKER_BASE_CONFIG = dict(base_config)
-    facade = facade_for_config(_WORKER_BASE_CONFIG)
+    facade = facade_for_config(dict(base_config))
     facade.transformations()
+    return facade
 
 
-def _service_worker(payload: Tuple[Dict[str, Any], Any]) -> Dict[str, Any]:
+def _run_job(_base_facade: Superoptimizer, job: Dict[str, Any]) -> Dict[str, Any]:
     """Chunk function: one job per chunk (see ``PoolExecutor``)."""
-    job, fault_token = payload
-    faults.apply_chunk_fault(fault_token)
     return execute_job(job)
 
 
@@ -167,12 +162,12 @@ class PoolExecutor:
         chunk_retries: Optional[int] = None,
     ) -> None:
         self.workers = workers
-        self._pool = ResilientPool(
-            _service_worker,
-            _init_service_worker,
-            (dict(base_config),),
+        self._pool = spec_pool(
+            "service",
+            _warm_base_facade,
+            dict(base_config),
+            _run_job,
             workers,
-            site="service",
             chunk_timeout=chunk_timeout,
             chunk_retries=chunk_retries,
         )

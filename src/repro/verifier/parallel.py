@@ -1,9 +1,8 @@
-"""Sharded multiprocess equivalence verification for RepGen rounds.
+"""The verification chunk function RepGen shards its rounds through.
 
-PR 2 parallelized the fingerprint evaluation of a RepGen round; the
-equivalence checks inside (adjacent) fingerprint buckets — the symbolic
-bulk of generation — still ran serially in the parent.  This module shards
-them the same way:
+The equivalence checks inside (adjacent) fingerprint buckets — the
+symbolic bulk of generation — shard across a
+:class:`repro.workerpool.ShardMap` (fault site ``verify``):
 
 * the parent enumerates, per round, every (candidate, anchor) pair the ECC
   insert loop could possibly ask about: candidates against the classes that
@@ -12,8 +11,7 @@ them the same way:
   speculative intra-round pairs);
 * each worker owns an :class:`~repro.verifier.equivalence.EquivalenceVerifier`
   rebuilt from the parent verifier's :meth:`spec` (same seed, parameter
-  count, backend and phase-search flags — mirroring
-  ``FingerprintContext.spec()``) and verifies its shard of pairs;
+  count, backend and phase-search flags) and verifies its shard of pairs;
 * the parent merges the verdicts into a table and replays the ECC insert
   loop **serially, in enumeration order**, consulting the table instead of
   calling the verifier.  Which worker answered first never matters: a
@@ -21,31 +19,17 @@ them the same way:
   the merged ECC set — and hence ``ECCSet.to_json`` — is byte-identical to
   a serial run's.
 
-Worker count resolution: an explicit ``verify_workers`` argument wins, else
-the ``REPRO_VERIFY_WORKERS`` environment variable, else 1 (serial).  Any
-failure to set up or use the pool degrades to the serial path with a
-warning, exactly like :mod:`repro.generator.parallel` — parallelism is an
-optimization, never a correctness dependency.
-
-Dispatch rides on :class:`repro.workerpool.ResilientPool` (fault site
-``verify``): per-chunk deadlines, retries with pool respawn, and
-degradation of a single round (not the run) only after the retry budget is
-exhausted.  A verdict is a pure function of the pair and the verifier
-spec, so retried chunks reproduce their verdicts exactly and recovery
-never perturbs the byte-identical ECC set.
-
-Each worker batch also reports its :class:`VerifierStats` delta and its
-``verifier.*`` perf counters; the parent aggregates them (via
-:meth:`VerifierStats.merge`) into ``GeneratorStats`` so multi-worker runs
-keep the Table 5 / Table 8 metrics and the cache hit rates observable.
+Each verdict comes back with its :class:`VerifierStats` delta, and each
+chunk with its ``verifier.*`` perf counters; the parent aggregates them
+(via :meth:`VerifierStats.merge`) into ``GeneratorStats`` so multi-worker
+runs keep the Table 5 / Table 8 metrics and the cache hit rates
+observable.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro import faults
-from repro.envconfig import VERIFY_WORKERS_ENV_VAR, env_verify_workers
 from repro.ir.circuit import Circuit
 from repro.perf import PerfRecorder
 from repro.verifier.equivalence import (
@@ -53,140 +37,23 @@ from repro.verifier.equivalence import (
     VerificationResult,
     VerifierStats,
 )
-from repro.workerpool import ResilientPool
 
-__all__ = [
-    "VERIFY_WORKERS_ENV_VAR",
-    "MIN_PARALLEL_VERIFY_PAIRS",
-    "VerifyPair",
-    "BatchOutcome",
-    "ParallelVerifierPool",
-    "resolve_verify_workers",
-]
-
-#: Rounds with fewer candidate pairs than this verify serially even when a
-#: pool is available: a single check costs ~a millisecond, so for tiny
-#: batches the pickling round-trip would dominate.
-MIN_PARALLEL_VERIFY_PAIRS = 16
-
-#: One bucket-internal equivalence question: (candidate, class anchor).
-VerifyPair = Tuple[Circuit, Circuit]
-
-#: What one ``verify_pairs`` call returns: the verdicts (in pair order), the
-#: merged per-worker stats, and the merged per-worker perf counters.
-BatchOutcome = Tuple[List[VerificationResult], VerifierStats, Dict[str, int]]
+__all__ = ["verify_chunk"]
 
 
-def resolve_verify_workers(workers: Optional[int] = None) -> int:
-    """Resolve a verifier worker count: explicit arg, else env var, else 1."""
-    if workers is None:
-        return env_verify_workers()
-    return max(int(workers), 1)
-
-
-# -- worker side -------------------------------------------------------------
-
-_WORKER_VERIFIER: Optional[EquivalenceVerifier] = None
-
-
-def _init_worker(verifier_spec: dict) -> None:
-    global _WORKER_VERIFIER
-    _WORKER_VERIFIER = EquivalenceVerifier.from_spec(verifier_spec)
-
-
-def _verify_chunk(payload):
-    """Verdicts, stats delta and perf counters for one shard of pairs.
-
-    ``payload`` is ``(pairs, fault_token)`` — the token (normally None) is
-    an injected-fault instruction executed before any real work.
+def verify_chunk(
+    verifier: EquivalenceVerifier, pairs: Sequence[Tuple[Circuit, Circuit]]
+) -> Tuple[List[Tuple[VerificationResult, VerifierStats]], Dict[str, int]]:
+    """Per pair, its verdict and stats delta; plus the chunk's perf counters.
 
     The verifier itself persists across chunks (so its symbolic matrix and
     fingerprint caches stay warm within a run), but stats and perf counters
-    are swapped out per chunk so the parent receives exact deltas it can
-    aggregate without double counting.
+    are swapped out so the parent receives exact deltas it can aggregate
+    without double counting.
     """
-    pairs, fault_token = payload
-    faults.apply_chunk_fault(fault_token)
-    verifier = _WORKER_VERIFIER
-    assert verifier is not None, "verifier pool used before initialization"
-    verifier.stats = VerifierStats()
     verifier.perf = PerfRecorder()
-    results = [verifier.verify(a, b) for a, b in pairs]
-    return results, verifier.stats, dict(verifier.perf.counters)
-
-
-# -- parent side -------------------------------------------------------------
-
-
-class ParallelVerifierPool:
-    """A persistent worker pool answering bucket-internal equivalence checks.
-
-    Created once per :meth:`RepGen.generate` call and reused across rounds,
-    so workers amortize interpreter start-up and keep their symbolic-matrix
-    and fingerprint caches warm between rounds.  Dispatch, per-chunk
-    deadlines, retries and pool respawn come from
-    :class:`repro.workerpool.ResilientPool` (fault site ``verify``).
-    """
-
-    def __init__(
-        self,
-        verifier_spec: dict,
-        workers: int,
-        *,
-        chunk_timeout: Optional[float] = None,
-        chunk_retries: Optional[int] = None,
-        perf: Optional[PerfRecorder] = None,
-    ) -> None:
-        self.workers = workers
-        self._pool = ResilientPool(
-            _verify_chunk,
-            _init_worker,
-            (dict(verifier_spec),),
-            workers,
-            site="verify",
-            chunk_timeout=chunk_timeout,
-            chunk_retries=chunk_retries,
-            perf=perf,
-        )
-
-    def verify_pairs(
-        self,
-        pairs: Sequence[VerifyPair],
-        *,
-        round_index: Optional[int] = None,
-    ) -> BatchOutcome:
-        """Verdicts for every pair, in pair order, plus aggregated worker stats.
-
-        Pair order is what lets the parent address verdicts by enumeration
-        index; the per-chunk stats and counters are merged here so callers
-        see one delta per batch regardless of how the shards were split.
-        ``round_index`` only feeds round-targeted fault-injection entries.
-        """
-        if not pairs:
-            return [], VerifierStats(), {}
-        chunks = self._chunk(pairs)
-        outcomes = self._pool.run_chunks(chunks, round_index=round_index)
-        results: List[VerificationResult] = []
-        counters: Dict[str, int] = {}
-        for chunk_results, _, chunk_counters in outcomes:
-            results.extend(chunk_results)
-            for name, value in chunk_counters.items():
-                counters[name] = counters.get(name, 0) + int(value)
-        stats = VerifierStats.merge(outcome[1] for outcome in outcomes)
-        return results, stats, counters
-
-    def _chunk(self, pairs: Sequence[VerifyPair]) -> List[List[VerifyPair]]:
-        chunk_size = max(1, len(pairs) // (self.workers * 4) + 1)
-        return [
-            list(pairs[start : start + chunk_size])
-            for start in range(0, len(pairs), chunk_size)
-        ]
-
-    def close(self) -> None:
-        self._pool.close()
-
-    def __enter__(self) -> "ParallelVerifierPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    outcomes = []
+    for circuit_a, circuit_b in pairs:
+        verifier.stats = VerifierStats()
+        outcomes.append((verifier.verify(circuit_a, circuit_b), verifier.stats))
+    return outcomes, dict(verifier.perf.counters)

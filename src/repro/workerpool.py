@@ -1,13 +1,10 @@
 """Self-healing multiprocessing dispatch shared by the worker pools.
 
-PRs 2 and 4 sharded RepGen fingerprinting and bucket verification across
-``multiprocessing.Pool.map`` — which is a happy-path primitive: a worker
-killed mid-``map`` (OOM, segfault, operator) leaves the call blocked
-forever, a slow chunk stalls the whole round behind it, and the only
-recovery the callers had was degrading the *entire run* to serial.
+Two layers live here.
 
-:class:`ResilientPool` replaces the blocking ``map`` with asynchronous
-per-chunk dispatch plus a recovery loop:
+:class:`ResilientPool` replaces ``multiprocessing.Pool.map`` — a
+happy-path primitive under which a worker killed mid-``map`` blocks the
+call forever — with asynchronous per-chunk dispatch plus a recovery loop:
 
 * every chunk is submitted with ``apply_async`` and collected with a
   per-chunk deadline (``REPRO_CHUNK_TIMEOUT``); a lost worker's chunk
@@ -19,27 +16,50 @@ per-chunk dispatch plus a recovery loop:
 * chunks whose result arrived *late* — after the deadline sweep but before
   the respawn — are recovered as-is rather than re-executed;
 * only when a chunk exhausts its retry budget does
-  :class:`~repro.errors.RetryExhausted` escape, and the callers degrade
-  that one round (not the run) to the serial path.
+  :class:`~repro.errors.RetryExhausted` escape.
 
-Re-dispatch is safe by construction: both pools' chunk results are pure
-functions of the chunk payload and the worker-initializer spec (same seed,
-hence bit-identical replay), so a retried chunk returns byte-identical
-results — asserted directly by ``tests/test_resilience.py`` (chunk
-re-execution identity) and end-to-end by every serial-vs-parallel
-``ECCSet.to_json`` byte-identity test run under injected faults.
+:class:`ShardMap` is the one primitive the RepGen fingerprint round, the
+RepGen verification round and the ``parallel-backtracking`` search wave
+shard their work through.  Its contract:
+
+* workers are built from a picklable *spec*: ``build(spec)`` (a
+  module-level builder such as ``FingerprintContext.from_spec``) runs once
+  per worker process, and every chunk runs the module-level chunk function
+  ``fn(state, chunk)`` on that state — a pure function of ``(spec,
+  chunk)`` returning ``(per-job results, counters)``;
+* jobs are cut into at most :data:`CHUNKS_PER_WORKER` contiguous chunks
+  per worker; per-job results come back flattened in *job order* and the
+  chunks' counters are merged into the caller's recorder, so chunk layout
+  and completion order can never reach the caller;
+* ``map`` returns None — "run this round in-process" — when no pool is
+  up, when the batch is below the site's minimum, or when the round
+  degraded;
+* one degrade policy: a pool that cannot start warns and leaves the whole
+  run in-process; a round whose chunks exhaust their retries warns, counts
+  ``resilience.rounds_degraded``, runs in-process, and the pool stays up
+  for the next round.  The site's own counters are
+  ``parallel.<site>.{pools, workers, rounds, jobs, chunks,
+  round_failures, setup_failures}``.
+
+Re-dispatch is safe by construction: a chunk's results are a pure function
+of the chunk payload and the spec (same seed, hence bit-identical replay),
+so a retried chunk returns byte-identical results — asserted directly by
+``tests/test_resilience.py`` (chunk re-execution identity) and end-to-end
+by every serial-vs-parallel byte-identity test run under injected faults.
 
 Fault injection: at dispatch time the pool consults the active
-:mod:`repro.faults` plan (site ``gen`` or ``verify``, round-aware) and, if
-an entry fires, attaches the corresponding worker-side token to the
-round's first chunk.  Faults fire on first dispatch only — retried chunks
-are shipped clean, mirroring real transient failures.
+:mod:`repro.faults` plan (site ``gen``, ``verify``, ``search`` or
+``service``, round-aware) and, if an entry fires, attaches the
+corresponding worker-side token to the round's first chunk; the shared
+chunk runner executes it before any real work.  Faults fire on first
+dispatch only — retried chunks are shipped clean, mirroring real transient
+failures.
 
 Recovery is observable through ``resilience.*`` perf counters
 (``chunk_timeouts``, ``chunk_failures``, ``chunk_retries``,
-``pool_respawns``, ``late_results``, ``faults_injected``, ...) that the
-generator folds into ``GeneratorStats.perf`` and the facade surfaces in
-``RunReport`` provenance.
+``pool_respawns``, ``late_results``, ``faults_injected``,
+``rounds_degraded``, ...) that the facade surfaces in ``RunReport``
+provenance.
 """
 
 from __future__ import annotations
@@ -47,10 +67,11 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.pool
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+import warnings
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import faults
-from repro.envconfig import env_chunk_retries, env_chunk_timeout
+from repro.envconfig import env_chunk_retries, env_chunk_timeout, env_worker_count
 from repro.errors import (
     ChunkTimeout,
     FaultInjected,
@@ -62,6 +83,9 @@ from repro.perf import NULL_RECORDER, PerfRecorder
 
 __all__ = [
     "ResilientPool",
+    "ShardMap",
+    "spec_pool",
+    "resolve_workers",
     "resolve_chunk_timeout",
     "resolve_chunk_retries",
     "BACKOFF_BASE_SECONDS",
@@ -73,6 +97,11 @@ __all__ = [
 #: exists to let a respawned pool finish initializing under load.
 BACKOFF_BASE_SECONDS = 0.1
 BACKOFF_CAP_SECONDS = 2.0
+
+#: Upper bound on the chunks one ``ShardMap`` round is cut into, per
+#: worker: several chunks per worker let a slow chunk be absorbed by the
+#: others, while each chunk stays large enough to amortize its IPC.
+CHUNKS_PER_WORKER = 4
 
 _PENDING = object()
 
@@ -92,6 +121,13 @@ _RETRYABLE_CHUNK_ERRORS: Tuple[type, ...] = (
     multiprocessing.ProcessError,
     multiprocessing.pool.MaybeEncodingError,
 )
+
+
+def resolve_workers(workers: Optional[int], env_var: str) -> int:
+    """Resolve a worker count: explicit argument, else ``env_var``, else 1."""
+    if workers is None:
+        return env_worker_count(env_var) or 1
+    return max(int(workers), 1)
 
 
 def resolve_chunk_timeout(chunk_timeout: Optional[float] = None) -> Optional[float]:
@@ -123,7 +159,8 @@ class ResilientPool:
             the picklable spec into live worker state).
         workers: pool size (>= 2; a single worker should use the serial
             path instead).
-        site: fault-injection site name (``"gen"`` / ``"verify"``).
+        site: fault-injection site name (``"gen"``, ``"verify"``,
+            ``"search"`` or ``"service"``).
         chunk_timeout: per-chunk deadline in seconds (None = environment;
             <= 0 = no deadline).
         chunk_retries: re-dispatch budget per chunk (None = environment).
@@ -318,3 +355,173 @@ class ResilientPool:
             if not recovered:
                 still_failed.append(index)
         return still_failed, timed_out, last_error
+
+
+# -- spec-initialized workers --------------------------------------------------
+
+#: This worker process's ``(build(spec), fn)``; set once by the pool
+#: initializer before any chunk runs, read-only afterwards.
+_SPEC_WORKER: Optional[Tuple[Any, Callable[[Any, Any], Any]]] = None
+
+
+def init_spec_worker(
+    build: Callable[[Any], Any], spec: Any, fn: Callable[[Any, Any], Any]
+) -> None:
+    """Pool initializer: rebuild the worker state from its picklable spec."""
+    global _SPEC_WORKER
+    _SPEC_WORKER = (build(spec), fn)
+
+
+def run_spec_chunk(payload: Tuple[Any, Any]) -> Any:
+    """Chunk runner: the injected fault (if any), then ``fn(state, chunk)``."""
+    chunk, fault_token = payload
+    faults.apply_chunk_fault(fault_token)
+    assert _SPEC_WORKER is not None, "worker pool used before initialization"
+    state, fn = _SPEC_WORKER
+    return fn(state, chunk)
+
+
+def spec_pool(
+    site: str,
+    build: Callable[[Any], Any],
+    spec: Any,
+    fn: Callable[[Any, Any], Any],
+    workers: int,
+    *,
+    chunk_timeout: Optional[float] = None,
+    chunk_retries: Optional[int] = None,
+    perf: Optional[PerfRecorder] = None,
+) -> ResilientPool:
+    """A :class:`ResilientPool` whose workers run ``fn(build(spec), chunk)``.
+
+    ``build`` and ``fn`` must be module-level (they travel to the workers
+    by reference); raises :class:`PoolError` when the pool cannot start.
+    """
+    return ResilientPool(
+        run_spec_chunk,
+        init_spec_worker,
+        (build, spec, fn),
+        workers,
+        site=site,
+        chunk_timeout=chunk_timeout,
+        chunk_retries=chunk_retries,
+        perf=perf,
+    )
+
+
+class ShardMap:
+    """A persistent spec-initialized pool mapped over one job list per round.
+
+    Args:
+        site: fault-injection site and counter family (``parallel.<site>.*``).
+        build / spec / fn: see :func:`spec_pool`; ``fn(state, chunk)``
+            returns ``(per-job results, counters)``.
+        workers: pool size; below 2 no pool starts and :meth:`map` always
+            returns None.
+        min_batch: rounds whose batch size is below this run in-process —
+            the per-job work would not pay for the IPC.
+        chunk_timeout / chunk_retries: see :class:`ResilientPool`.
+        perf: recorder the counters land in.
+    """
+
+    def __init__(
+        self,
+        site: str,
+        build: Callable[[Any], Any],
+        spec: Any,
+        fn: Callable[[Any, Any], Any],
+        workers: int,
+        *,
+        min_batch: int,
+        chunk_timeout: Optional[float] = None,
+        chunk_retries: Optional[int] = None,
+        perf: Optional[PerfRecorder] = None,
+    ) -> None:
+        self.site = site
+        self.workers = workers
+        self.min_batch = min_batch
+        self.perf = perf if perf is not None else NULL_RECORDER
+        self._pool: Optional[ResilientPool] = None
+        if workers < 2:
+            return
+        try:
+            self._pool = spec_pool(
+                site,
+                build,
+                spec,
+                fn,
+                workers,
+                chunk_timeout=chunk_timeout,
+                chunk_retries=chunk_retries,
+                perf=self.perf,
+            )
+        except PoolError as error:
+            self._degrade(
+                f"could not start {workers} {site} workers ({error}); "
+                "running serially",
+                "setup_failures",
+            )
+            return
+        self._count({"pools": 1, "workers": workers})
+
+    @property
+    def active(self) -> bool:
+        """Whether a worker pool is up (rounds may still run in-process)."""
+        return self._pool is not None
+
+    def map(
+        self,
+        jobs: Sequence,
+        *,
+        round_index: Optional[int] = None,
+        batch_size: Optional[int] = None,
+    ) -> Optional[List]:
+        """Per-job results in job order, or None: run this round in-process.
+
+        ``batch_size`` (default ``len(jobs)``) is what ``min_batch`` is
+        compared against.  ``round_index`` only feeds round-targeted fault
+        entries (``kill_worker:gen:round2``); it never affects results.
+        Worker exceptions that are not pool failures (a ``TypeError`` from
+        a buggy chunk function) propagate.
+        """
+        size = len(jobs) if batch_size is None else batch_size
+        if self._pool is None or not jobs or size < self.min_batch:
+            return None
+        chunk_size = -(-len(jobs) // (self.workers * CHUNKS_PER_WORKER))
+        chunks = [jobs[i : i + chunk_size] for i in range(0, len(jobs), chunk_size)]
+        try:
+            per_chunk = self._pool.run_chunks(chunks, round_index=round_index)
+        except PoolError as error:
+            self.perf.count("resilience.rounds_degraded")
+            self._degrade(
+                f"{self.site} worker pool failed ({error}); "
+                "falling back to serial for this round",
+                "round_failures",
+            )
+            return None
+        results: List[Any] = []
+        for chunk_results, counters in per_chunk:
+            results.extend(chunk_results)
+            self.perf.merge_counts(counters)
+        self._count({"rounds": 1, "jobs": len(jobs), "chunks": len(chunks)})
+        return results
+
+    def _count(self, counts: Mapping[str, int]) -> None:
+        self.perf.merge_counts(
+            {f"parallel.{self.site}.{name}": value for name, value in counts.items()}
+        )
+
+    def _degrade(self, message: str, counter: str) -> None:
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
+        self._count({counter: 1})
+
+    def close(self) -> None:
+        """Terminate and join every worker; safe to call more than once."""
+        if self._pool is not None:
+            self._pool.close()
+
+    def __enter__(self) -> "ShardMap":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()

@@ -63,6 +63,24 @@ def pool_module(extra):
     return textwrap.dedent(POOL_PREAMBLE) + textwrap.dedent(extra)
 
 
+#: The same, through the spec-initialized primitive: ``Ctx.from_spec`` (the
+#: builder) and ``_chunk_fn`` run in workers, but only by way of variables
+#: inside the shared initializer and chunk runner — so the linter has to
+#: read them off the ``ShardMap(site, build, spec, fn, ...)`` call.
+SHARD_MAP_PREAMBLE = """
+    from repro.workerpool import ShardMap
+
+    def run(spec):
+        with ShardMap("gen", Ctx.from_spec, spec, _chunk_fn, 2, min_batch=1) as m:
+            return m.map([1, 2])
+"""
+
+
+def shard_map_module(extra):
+    """A fixture module whose worker code is reached through ``ShardMap``."""
+    return textwrap.dedent(SHARD_MAP_PREAMBLE) + textwrap.dedent(extra)
+
+
 class TestRegistry:
     def test_all_seven_rules_registered(self):
         assert [rule.id for rule in registered_rules()] == list(RULE_IDS)
@@ -262,6 +280,77 @@ class TestR004WallClockInWorker:
         )
         assert rules_hit(result) == {"R004"}
         assert all(f.severity == "warning" for f in result.findings)
+        assert "_chunk_fn" in result.findings[0].message
+
+    def test_seeded_clock_read_in_shard_map_chunk_fn_is_caught(self, tmp_path):
+        result = lint(
+            tmp_path,
+            {
+                "src/repro/mod.py": shard_map_module("""
+                    import time
+
+                    class Ctx:
+                        @classmethod
+                        def from_spec(cls, spec):
+                            return cls()
+
+                    def _chunk_fn(state, chunk):
+                        return [time.time() for _ in chunk], {}
+                """)
+            },
+            select=["R004"],
+        )
+        assert rules_hit(result) == {"R004"}
+        assert len(result.findings) == 1
+        assert "_chunk_fn" in result.findings[0].message
+
+    def test_seeded_clock_read_in_shard_map_builder_is_caught(self, tmp_path):
+        result = lint(
+            tmp_path,
+            {
+                "src/repro/mod.py": shard_map_module("""
+                    import time
+
+                    class Ctx:
+                        @classmethod
+                        def from_spec(cls, spec):
+                            return (cls(), time.time())
+
+                    def _chunk_fn(state, chunk):
+                        return chunk, {}
+                """)
+            },
+            select=["R004"],
+        )
+        assert rules_hit(result) == {"R004"}
+        assert "from_spec" in result.findings[0].message
+
+    def test_seeded_clock_read_through_spec_pool_keywords_is_caught(
+        self, tmp_path
+    ):
+        result = lint(
+            tmp_path,
+            {
+                "src/repro/mod.py": """
+                    import time
+
+                    from repro.workerpool import spec_pool
+
+                    def _build(spec):
+                        return spec
+
+                    def _chunk_fn(state, chunk):
+                        return time.monotonic()
+
+                    def run(spec):
+                        return spec_pool(
+                            "gen", build=_build, spec=spec, fn=_chunk_fn, workers=2
+                        )
+                """
+            },
+            select=["R004"],
+        )
+        assert rules_hit(result) == {"R004"}
         assert "_chunk_fn" in result.findings[0].message
 
     def test_clock_reachable_through_helper_is_caught(self, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.experiments import cli
 from repro.generator.cache import CACHE_DIR_ENV_VAR, CACHE_DISABLE_ENV_VAR
-from repro.generator.parallel import WORKERS_ENV_VAR
+from repro.envconfig import WORKERS_ENV_VAR
 
 
 class TestSharedFlagTranslation:

@@ -21,86 +21,81 @@ from repro.envconfig import (
     WORKERS_ENV_VAR,
 )
 from repro.generator.cache import ECCCache
-from repro.generator.parallel import resolve_workers
-from repro.verifier.parallel import resolve_verify_workers
+from repro.workerpool import resolve_workers
 
 
 class TestWorkers:
     def test_unset_means_serial(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert envconfig.env_workers() == 1
-        assert envconfig.env_workers_optional() is None
-        assert resolve_workers() == 1
+        assert resolve_workers(None, WORKERS_ENV_VAR) == 1
+        assert envconfig.env_worker_count(WORKERS_ENV_VAR) is None
 
     @pytest.mark.parametrize("raw,expected", [("1", 1), ("2", 2), ("8", 8)])
     def test_valid_values(self, monkeypatch, raw, expected):
         monkeypatch.setenv(WORKERS_ENV_VAR, raw)
-        assert envconfig.env_workers() == expected
-        assert resolve_workers() == expected
+        assert resolve_workers(None, WORKERS_ENV_VAR) == expected
 
     @pytest.mark.parametrize("raw", ["nope", "2.5", "two", "1e3"])
     def test_invalid_values_warn_and_mean_serial(self, monkeypatch, raw):
         monkeypatch.setenv(WORKERS_ENV_VAR, raw)
         with pytest.warns(RuntimeWarning, match="non-integer"):
-            assert envconfig.env_workers() == 1
+            assert resolve_workers(None, WORKERS_ENV_VAR) == 1
 
     @pytest.mark.parametrize("raw", ["-1", "-16"])
     def test_negative_values_warn_and_mean_serial(self, monkeypatch, raw):
         monkeypatch.setenv(WORKERS_ENV_VAR, raw)
         with pytest.warns(RuntimeWarning, match="negative"):
-            assert envconfig.env_workers() == 1
+            assert resolve_workers(None, WORKERS_ENV_VAR) == 1
 
     def test_zero_means_serial_without_warning(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "0")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert envconfig.env_workers() == 1
+            assert resolve_workers(None, WORKERS_ENV_VAR) == 1
 
     def test_whitespace_only_means_serial(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "   ")
-        assert envconfig.env_workers() == 1
+        assert resolve_workers(None, WORKERS_ENV_VAR) == 1
 
     def test_explicit_argument_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "7")
-        assert resolve_workers(3) == 3
+        assert resolve_workers(3, WORKERS_ENV_VAR) == 3
 
 
 class TestVerifyWorkers:
     def test_unset_means_serial(self, monkeypatch):
         monkeypatch.delenv(VERIFY_WORKERS_ENV_VAR, raising=False)
-        assert envconfig.env_verify_workers() == 1
-        assert envconfig.env_verify_workers_optional() is None
-        assert resolve_verify_workers() == 1
+        assert resolve_workers(None, VERIFY_WORKERS_ENV_VAR) == 1
+        assert envconfig.env_worker_count(VERIFY_WORKERS_ENV_VAR) is None
 
     @pytest.mark.parametrize("raw,expected", [("1", 1), ("2", 2), ("8", 8)])
     def test_valid_values(self, monkeypatch, raw, expected):
         monkeypatch.setenv(VERIFY_WORKERS_ENV_VAR, raw)
-        assert envconfig.env_verify_workers() == expected
-        assert resolve_verify_workers() == expected
+        assert resolve_workers(None, VERIFY_WORKERS_ENV_VAR) == expected
 
     @pytest.mark.parametrize("raw", ["nope", "2.5"])
     def test_invalid_values_warn_and_mean_serial(self, monkeypatch, raw):
         monkeypatch.setenv(VERIFY_WORKERS_ENV_VAR, raw)
         with pytest.warns(RuntimeWarning, match="non-integer.*REPRO_VERIFY_WORKERS"):
-            assert envconfig.env_verify_workers() == 1
+            assert resolve_workers(None, VERIFY_WORKERS_ENV_VAR) == 1
 
     @pytest.mark.parametrize("raw", ["-1", "-16"])
     def test_negative_values_warn_and_mean_serial(self, monkeypatch, raw):
         monkeypatch.setenv(VERIFY_WORKERS_ENV_VAR, raw)
         with pytest.warns(RuntimeWarning, match="negative.*REPRO_VERIFY_WORKERS"):
-            assert envconfig.env_verify_workers() == 1
+            assert resolve_workers(None, VERIFY_WORKERS_ENV_VAR) == 1
 
     def test_independent_of_gen_workers(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "4")
         monkeypatch.delenv(VERIFY_WORKERS_ENV_VAR, raising=False)
-        assert envconfig.env_workers() == 4
-        assert envconfig.env_verify_workers() == 1
+        assert resolve_workers(None, WORKERS_ENV_VAR) == 4
+        assert resolve_workers(None, VERIFY_WORKERS_ENV_VAR) == 1
         monkeypatch.setenv(VERIFY_WORKERS_ENV_VAR, "3")
-        assert envconfig.env_verify_workers() == 3
+        assert resolve_workers(None, VERIFY_WORKERS_ENV_VAR) == 3
 
     def test_explicit_argument_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(VERIFY_WORKERS_ENV_VAR, "7")
-        assert resolve_verify_workers(3) == 3
+        assert resolve_workers(3, VERIFY_WORKERS_ENV_VAR) == 3
 
 
 class TestBatched:
@@ -281,15 +276,15 @@ class TestServiceKnobs:
 
     def test_workers_default_valid_and_invalid(self, monkeypatch):
         monkeypatch.delenv(envconfig.SERVICE_WORKERS_ENV_VAR, raising=False)
-        assert envconfig.env_service_workers() == 1
+        assert resolve_workers(None, envconfig.SERVICE_WORKERS_ENV_VAR) == 1
         monkeypatch.setenv(envconfig.SERVICE_WORKERS_ENV_VAR, "4")
-        assert envconfig.env_service_workers() == 4
+        assert resolve_workers(None, envconfig.SERVICE_WORKERS_ENV_VAR) == 4
         monkeypatch.setenv(envconfig.SERVICE_WORKERS_ENV_VAR, "many")
         with pytest.warns(RuntimeWarning):
-            assert envconfig.env_service_workers() == 1
+            assert resolve_workers(None, envconfig.SERVICE_WORKERS_ENV_VAR) == 1
         monkeypatch.setenv(envconfig.SERVICE_WORKERS_ENV_VAR, "-3")
         with pytest.warns(RuntimeWarning):
-            assert envconfig.env_service_workers() == 1
+            assert resolve_workers(None, envconfig.SERVICE_WORKERS_ENV_VAR) == 1
 
     def test_batch_window_default_valid_zero_and_invalid(self, monkeypatch):
         monkeypatch.delenv(envconfig.SERVICE_BATCH_WINDOW_ENV_VAR, raising=False)
@@ -346,47 +341,22 @@ class TestServiceKnobs:
 class TestSearchKnobs:
     def test_search_workers_default_valid_and_invalid(self, monkeypatch):
         monkeypatch.delenv(envconfig.SEARCH_WORKERS_ENV_VAR, raising=False)
-        assert envconfig.env_search_workers() == 1
-        assert envconfig.env_search_workers_optional() is None
+        assert resolve_workers(None, envconfig.SEARCH_WORKERS_ENV_VAR) == 1
+        assert envconfig.env_worker_count(envconfig.SEARCH_WORKERS_ENV_VAR) is None
         monkeypatch.setenv(envconfig.SEARCH_WORKERS_ENV_VAR, " 4 ")
-        assert envconfig.env_search_workers() == 4
-        assert envconfig.env_search_workers_optional() == 4
+        assert resolve_workers(None, envconfig.SEARCH_WORKERS_ENV_VAR) == 4
+        assert envconfig.env_worker_count(envconfig.SEARCH_WORKERS_ENV_VAR) == 4
         # Invalid and negative values warn and mean serial — the same
         # convention as every other worker knob.
         for raw in ("many", "-2", "2.5"):
             monkeypatch.setenv(envconfig.SEARCH_WORKERS_ENV_VAR, raw)
             with pytest.warns(RuntimeWarning):
-                assert envconfig.env_search_workers() == 1
-
-    def test_portfolio_roster_parsing(self, monkeypatch):
-        monkeypatch.delenv(envconfig.PORTFOLIO_ENV_VAR, raising=False)
-        assert envconfig.env_portfolio_optional() is None
-        monkeypatch.setenv(
-            envconfig.PORTFOLIO_ENV_VAR, " Greedy, beam ,,parallel-backtracking "
-        )
-        assert envconfig.env_portfolio_optional() == (
-            "greedy",
-            "beam",
-            "parallel-backtracking",
-        )
-
-    def test_empty_portfolio_warns_and_means_default(self, monkeypatch):
-        for raw in ("", " , ,"):
-            monkeypatch.setenv(envconfig.PORTFOLIO_ENV_VAR, raw)
-            with pytest.warns(RuntimeWarning, match="default portfolio"):
-                assert envconfig.env_portfolio_optional() is None
+                assert resolve_workers(None, envconfig.SEARCH_WORKERS_ENV_VAR) == 1
 
     def test_run_config_snapshots_search_knobs(self, monkeypatch):
         from repro.api import RunConfig
 
         monkeypatch.setenv(envconfig.SEARCH_WORKERS_ENV_VAR, "2")
-        monkeypatch.setenv(envconfig.PORTFOLIO_ENV_VAR, "greedy,beam")
         config = RunConfig.from_env()
         assert config.search.search_workers == 2
-        assert config.search.portfolio == ("greedy", "beam")
-        options = config.search.options_for
-        assert options("parallel-backtracking")["workers"] == 2
-        portfolio_options = options("portfolio")
-        assert portfolio_options["racers"] == ("greedy", "beam")
-        assert portfolio_options["workers"] == 2
-        assert portfolio_options["early_cancel"] is True
+        assert config.search.options_for("parallel-backtracking")["workers"] == 2

@@ -1,4 +1,4 @@
-"""Tests for sharded multiprocess RepGen (repro.generator.parallel).
+"""Tests for sharded multiprocess RepGen fingerprinting (the ``gen`` site).
 
 The load-bearing property is *determinism*: a multi-worker run must produce
 an ECC set that is byte-identical (via ``ECCSet.to_json``) to the serial
@@ -12,17 +12,14 @@ import pickle
 
 import pytest
 
+from repro.envconfig import WORKERS_ENV_VAR
 from repro.errors import RetryExhausted
 from repro.generator import RepGen
-from repro.generator.parallel import (
-    WORKERS_ENV_VAR,
-    ParallelFingerprintPool,
-    resolve_workers,
-)
 from repro.ir.circuit import Circuit
 from repro.ir.gates import Gate, get_gate
 from repro.ir.gatesets import NAM
 from repro.semantics.fingerprint import FingerprintContext
+from repro.workerpool import ResilientPool, resolve_workers
 
 
 def _generate(workers):
@@ -56,8 +53,9 @@ class TestParallelEqualsSerial:
 
     def test_parallel_counters_surfaced(self):
         result = _generate(workers=2)
-        assert result.stats.perf.get("repgen.parallel.pools") == 1
-        assert result.stats.perf.get("repgen.parallel.workers") == 2
+        assert result.stats.perf.get("parallel.gen.pools") == 1
+        assert result.stats.perf.get("parallel.gen.workers") == 2
+        assert result.stats.perf.get("parallel.gen.rounds", 0) >= 1
         candidates = result.stats.perf.get("repgen.parallel.candidates", 0)
         assert candidates > 0
         # Worker states are copied back into the parent's fingerprint cache
@@ -68,56 +66,62 @@ class TestParallelEqualsSerial:
         # A PoolError is what escapes the pool when a chunk exhausted its
         # retry budget (RetryExhausted is a PoolError); the round — not the
         # run — then degrades to serial with identical output.
-        def explode(self, jobs, *, round_index=None):
+        def explode(self, chunks, *, round_index=None):
             raise RetryExhausted("injected worker failure")
 
-        monkeypatch.setattr(ParallelFingerprintPool, "hash_keys", explode)
+        monkeypatch.setattr(ResilientPool, "run_chunks", explode)
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             result = _generate(workers=2)
         assert result.ecc_set.to_json() == serial_result.ecc_set.to_json()
+        assert result.stats.perf.get("parallel.gen.round_failures", 0) >= 1
+        assert result.stats.perf.get(
+            "resilience.rounds_degraded"
+        ) == result.stats.perf.get("parallel.gen.round_failures")
 
     def test_non_pool_errors_surface(self, monkeypatch):
         # Programming bugs must not silently degrade to serial: only
         # PoolError (pool infrastructure) triggers the fallback.
-        def explode(self, jobs, *, round_index=None):
+        def explode(self, chunks, *, round_index=None):
             raise TypeError("a bug, not an infrastructure failure")
 
-        monkeypatch.setattr(ParallelFingerprintPool, "hash_keys", explode)
+        monkeypatch.setattr(ResilientPool, "run_chunks", explode)
         with pytest.raises(TypeError, match="a bug"):
             _generate(workers=2)
 
     def test_pool_setup_failure_falls_back_to_serial(self, serial_result, monkeypatch):
-        def explode(self, spec, workers):
+        def explode(self):
             raise OSError("injected fork failure")
 
-        monkeypatch.setattr(ParallelFingerprintPool, "__init__", explode)
-        with pytest.warns(RuntimeWarning, match="generating serially"):
+        monkeypatch.setattr(ResilientPool, "_spawn", explode)
+        with pytest.warns(RuntimeWarning, match="running serially"):
             result = _generate(workers=2)
         assert result.ecc_set.to_json() == serial_result.ecc_set.to_json()
+        assert result.stats.perf.get("parallel.gen.setup_failures") == 1
+        assert "parallel.gen.pools" not in result.stats.perf
 
 
 class TestWorkerResolution:
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "7")
-        assert resolve_workers(3) == 3
+        assert resolve_workers(3, WORKERS_ENV_VAR) == 3
 
     def test_env_var_is_read(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        assert resolve_workers(None) == 4
+        assert resolve_workers(None, WORKERS_ENV_VAR) == 4
         assert RepGen(NAM, num_qubits=2).workers == 4
 
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert resolve_workers(None) == 1
+        assert resolve_workers(None, WORKERS_ENV_VAR) == 1
 
     def test_garbage_env_var_warns_and_runs_serially(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "many")
         with pytest.warns(RuntimeWarning, match="non-integer"):
-            assert resolve_workers(None) == 1
+            assert resolve_workers(None, WORKERS_ENV_VAR) == 1
 
     def test_nonpositive_values_clamp_to_serial(self):
-        assert resolve_workers(0) == 1
-        assert resolve_workers(-3) == 1
+        assert resolve_workers(0, WORKERS_ENV_VAR) == 1
+        assert resolve_workers(-3, WORKERS_ENV_VAR) == 1
 
 
 class TestPicklability:

@@ -21,10 +21,14 @@ from repro import faults
 from repro.errors import FaultInjected
 from repro.faults import FaultPlan
 from repro.generator import RepGen
-from repro.generator import parallel as gen_parallel
+from repro.generator.parallel import hash_keys_for_chunk
 from repro.ir.gatesets import NAM
+from repro.semantics.fingerprint import FingerprintContext
 from repro.workerpool import (
     ResilientPool,
+    ShardMap,
+    init_spec_worker,
+    run_spec_chunk,
     resolve_chunk_retries,
     resolve_chunk_timeout,
 )
@@ -146,10 +150,15 @@ class TestNoLeakedWorkers:
     def test_pool_context_manager_terminates_workers(self):
         before = {child.pid for child in multiprocessing.active_children()}
         generator = RepGen(NAM, num_qubits=2, num_params=2)
-        with gen_parallel.ParallelFingerprintPool(
-            generator.fingerprints.spec(), 2
-        ) as pool:
-            assert pool.workers == 2
+        with ShardMap(
+            "gen",
+            FingerprintContext.from_spec,
+            generator.fingerprints.spec(),
+            hash_keys_for_chunk,
+            2,
+            min_batch=1,
+        ) as shard_map:
+            assert shard_map.active
         deadline = time.perf_counter() + 10.0
         while self._foreign_children(before) and time.perf_counter() < deadline:
             time.sleep(0.05)
@@ -210,10 +219,13 @@ class TestChunkPurity:
         extensions = list(generator.single_gate_instructions(parent.used_params()))
         assert extensions
         chunk = [(parent, extensions)]
-        gen_parallel._init_worker(dict(generator.fingerprints.spec()))
-        first = gen_parallel._hash_keys_for_chunk((chunk, None))
-        gen_parallel._init_worker(dict(generator.fingerprints.spec()))
-        second = gen_parallel._hash_keys_for_chunk((chunk, None))
+        spec = generator.fingerprints.spec()
+        # Through the shared worker initializer and chunk runner, exactly
+        # as a (re)spawned worker executes it.
+        init_spec_worker(FingerprintContext.from_spec, spec, hash_keys_for_chunk)
+        first, _ = run_spec_chunk((chunk, None))
+        init_spec_worker(FingerprintContext.from_spec, spec, hash_keys_for_chunk)
+        second, _ = run_spec_chunk((chunk, None))
         assert [keys for keys, _ in first] == [keys for keys, _ in second]
         for (_, states_a), (_, states_b) in zip(first, second):
             for state_a, state_b in zip(states_a, states_b):

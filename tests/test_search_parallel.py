@@ -1,40 +1,30 @@
-"""Tests for the parallel work-sharing search and the portfolio racer.
+"""Tests for the parallel work-sharing search (``parallel-backtracking``).
 
 The contract under test (see :mod:`repro.optimizer.parallel`): the best
 circuit of ``parallel-backtracking`` is *byte-identical* to the serial
 reference (``workers=1`` — the identical wave algorithm in-process) for
 every worker count, under shuffled chunk completion order, after pool
-degradation and across injected worker faults; and the portfolio's winner
-is decided by the deterministic ``(cost, canonical key, index)`` rule,
-never by finish order.
+degradation and across injected worker faults.
 """
 
 from __future__ import annotations
 
 import json
-import time
 
 import pytest
 
 from repro import faults
+from repro.api import RunConfig, Superoptimizer
+from repro.envconfig import SEARCH_WORKERS_ENV_VAR
+from repro.errors import RetryExhausted
 from repro.faults import FaultPlan
 from repro.generator.ecc import circuit_to_payload
 from repro.ir import Circuit
-from repro.optimizer import parallel
-from repro.optimizer.parallel import (
-    DEFAULT_PORTFOLIO,
-    ParallelBacktrackingStrategy,
-    PortfolioStrategy,
-    resolve_search_workers,
-)
+from repro.optimizer.parallel import ParallelBacktrackingStrategy
 from repro.optimizer.search import OptimizationResult
-from repro.optimizer.strategies import (
-    SearchStrategy,
-    available_strategies,
-    get_strategy,
-)
+from repro.optimizer.strategies import available_strategies, get_strategy
 from repro.semantics.simulator import circuits_equivalent_numeric
-from repro.workerpool import PoolError
+from repro.workerpool import ResilientPool, resolve_workers
 
 
 def _figure6_circuit() -> Circuit:
@@ -49,20 +39,11 @@ def _figure6_circuit() -> Circuit:
     return circuit
 
 
-def _hh_circuit() -> Circuit:
-    """A directly greedy-improvable circuit (an H·H pair cancels)."""
-    circuit = Circuit(2)
-    circuit.h(0)
-    circuit.h(0)
-    circuit.cx(0, 1)
-    return circuit
-
-
 #: Generous gamma for the identity tests: it admits cost-increasing
 #: successors, so waves carry several jobs and the pooled path actually
 #: dispatches (near-1 gammas collapse waves to single jobs at this scale,
 #: which would make every identity assertion vacuous).  Tests that use a
-#: pool assert on ``search.parallel_chunks`` to guard exactly that.
+#: pool assert on ``parallel.search.chunks`` to guard exactly that.
 SEARCH_GAMMA = 2.0
 
 
@@ -87,12 +68,10 @@ def serial_reference(nam_transformations_small):
 
 class TestRegistryEntries:
     def test_new_strategies_are_registered(self):
-        names = set(available_strategies())
-        assert {"parallel-backtracking", "portfolio"} <= names
+        assert "parallel-backtracking" in set(available_strategies())
 
     def test_worker_support_flags(self):
         assert get_strategy("parallel-backtracking").supports_workers
-        assert get_strategy("portfolio").supports_workers
         assert not get_strategy("backtracking").supports_workers
         assert not get_strategy("beam").supports_workers
 
@@ -101,13 +80,14 @@ class TestRegistryEntries:
             ParallelBacktrackingStrategy(wave_width=0)
 
     def test_resolve_search_workers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SEARCH_WORKERS", raising=False)
-        assert resolve_search_workers(None) == 1
-        assert resolve_search_workers(4) == 4
-        assert resolve_search_workers(0) == 1
-        monkeypatch.setenv("REPRO_SEARCH_WORKERS", "3")
-        assert resolve_search_workers(None) == 3
-        assert resolve_search_workers(2) == 2  # explicit argument wins
+        monkeypatch.delenv(SEARCH_WORKERS_ENV_VAR, raising=False)
+        assert resolve_workers(None, SEARCH_WORKERS_ENV_VAR) == 1
+        assert resolve_workers(4, SEARCH_WORKERS_ENV_VAR) == 4
+        assert resolve_workers(0, SEARCH_WORKERS_ENV_VAR) == 1
+        monkeypatch.setenv(SEARCH_WORKERS_ENV_VAR, "3")
+        assert resolve_workers(None, SEARCH_WORKERS_ENV_VAR) == 3
+        # The explicit argument wins over the environment.
+        assert resolve_workers(2, SEARCH_WORKERS_ENV_VAR) == 2
 
 
 class TestByteIdentity:
@@ -127,7 +107,7 @@ class TestByteIdentity:
         result = ParallelBacktrackingStrategy(
             workers=workers, gamma=SEARCH_GAMMA
         ).run(_figure6_circuit(), nam_transformations_small, max_iterations=40)
-        assert result.perf["search.parallel_chunks"] > 0
+        assert result.perf["parallel.search.chunks"] > 0
         assert result.metadata["pool_active"] is True
         assert result.final_cost == serial_reference.final_cost
         assert _bytes(result) == _bytes(serial_reference)
@@ -141,35 +121,26 @@ class TestByteIdentity:
     ):
         """Chunks finishing in any order must merge to the same result.
 
-        The stub pool honours the ResilientPool contract (results in chunk
-        order) but *executes* the chunks back to front — the worst case a
-        real pool's completion order could produce.
+        The stub dispatch honours the ``run_chunks`` contract (results in
+        chunk order) but *executes* the chunks back to front, in-process
+        through the shared spec initializer and chunk runner — the worst
+        case a real pool's completion order could produce.
         """
-        monkeypatch.setattr(parallel, "_WORKER_SEARCH", None)
 
-        class ReversedOrderPool:
-            def __init__(
-                self, worker_fn, initializer, initargs, workers, **kwargs
-            ):
-                initializer(*initargs)
-                self.worker_fn = worker_fn
+        def reversed_run_chunks(self, chunks, *, round_index=None):
+            self._initializer(*self._initargs)
+            produced = {
+                index: self.worker_fn((chunk, None))
+                for index, chunk in reversed(list(enumerate(chunks)))
+            }
+            return [produced[index] for index in range(len(chunks))]
 
-            def run_chunks(self, chunks, *, round_index=None):
-                indexed = list(enumerate(chunks))[::-1]
-                produced = {
-                    index: self.worker_fn((chunk, None))
-                    for index, chunk in indexed
-                }
-                return [produced[index] for index in range(len(chunks))]
-
-            def close(self):
-                pass
-
-        monkeypatch.setattr(parallel, "ResilientPool", ReversedOrderPool)
+        monkeypatch.setattr(ResilientPool, "_spawn", lambda self: None)
+        monkeypatch.setattr(ResilientPool, "run_chunks", reversed_run_chunks)
         result = ParallelBacktrackingStrategy(workers=2, gamma=SEARCH_GAMMA).run(
             _figure6_circuit(), nam_transformations_small, max_iterations=40
         )
-        assert result.perf["search.parallel_chunks"] > 0
+        assert result.perf["parallel.search.chunks"] > 0
         assert _bytes(result) == _bytes(serial_reference)
         assert result.final_cost == serial_reference.final_cost
         assert result.metadata["pool_active"] is True
@@ -177,46 +148,70 @@ class TestByteIdentity:
     def test_pool_construction_failure_degrades_to_serial(
         self, nam_transformations_small, serial_reference, monkeypatch
     ):
-        def exploding_pool(*args, **kwargs):
-            raise PoolError("no processes for you")
+        def explode(self):
+            raise OSError("no processes for you")
 
-        monkeypatch.setattr(parallel, "ResilientPool", exploding_pool)
-        with pytest.warns(RuntimeWarning, match="searching serially"):
+        monkeypatch.setattr(ResilientPool, "_spawn", explode)
+        with pytest.warns(RuntimeWarning, match="running serially"):
             result = ParallelBacktrackingStrategy(workers=2, gamma=SEARCH_GAMMA).run(
                 _figure6_circuit(), nam_transformations_small, max_iterations=40
             )
         assert _bytes(result) == _bytes(serial_reference)
-        assert result.perf["search.pool_degraded"] == 1
+        assert result.perf["parallel.search.setup_failures"] == 1
         assert result.metadata["pool_active"] is False
 
     def test_mid_run_pool_failure_degrades_to_serial(
         self, nam_transformations_small, serial_reference, monkeypatch
     ):
-        monkeypatch.setattr(parallel, "_WORKER_SEARCH", None)
+        def explode(self, chunks, *, round_index=None):
+            raise RetryExhausted("every worker died")
 
-        class FailsOnDispatchPool:
-            def __init__(
-                self, worker_fn, initializer, initargs, workers, **kwargs
-            ):
-                initializer(*initargs)
-                self.closed = False
-
-            def run_chunks(self, chunks, *, round_index=None):
-                raise PoolError("every worker died")
-
-            def close(self):
-                self.closed = True
-
-        monkeypatch.setattr(parallel, "ResilientPool", FailsOnDispatchPool)
-        with pytest.warns(RuntimeWarning, match="degraded to serial"):
+        monkeypatch.setattr(ResilientPool, "run_chunks", explode)
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
             result = ParallelBacktrackingStrategy(workers=2, gamma=SEARCH_GAMMA).run(
                 _figure6_circuit(), nam_transformations_small, max_iterations=40
             )
         assert _bytes(result) == _bytes(serial_reference)
-        assert result.perf["search.pool_degraded"] == 1
-        # The wave that hit the failure was recomputed in-process, so the
-        # pool is gone from the metadata too.
-        assert result.metadata["pool_active"] is False
+        # Every multi-job wave was recomputed in-process and counted; the
+        # pool stayed up for the next wave.
+        failures = result.perf["parallel.search.round_failures"]
+        assert failures >= 1
+        assert result.perf["resilience.rounds_degraded"] == failures
+        assert result.metadata["pool_active"] is True
+
+    def test_non_pool_errors_surface(
+        self, nam_transformations_small, monkeypatch
+    ):
+        def explode(self, chunks, *, round_index=None):
+            raise TypeError("a bug, not an infrastructure failure")
+
+        monkeypatch.setattr(ResilientPool, "run_chunks", explode)
+        with pytest.raises(TypeError, match="a bug"):
+            ParallelBacktrackingStrategy(workers=2, gamma=SEARCH_GAMMA).run(
+                _figure6_circuit(), nam_transformations_small, max_iterations=40
+            )
+
+    def test_degraded_wave_reaches_run_report_provenance(
+        self, monkeypatch, tmp_path
+    ):
+        def explode(self, chunks, *, round_index=None):
+            raise RetryExhausted("every worker died")
+
+        monkeypatch.setattr(ResilientPool, "run_chunks", explode)
+        facade = Superoptimizer(
+            RunConfig(preprocess=False, verify_output=False).with_overrides(
+                n=3,
+                q=2,
+                cache_dir=str(tmp_path),
+                strategy="parallel-backtracking",
+                search_workers=2,
+                gamma=SEARCH_GAMMA,
+                max_iterations=20,
+            )
+        )
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
+            report = facade.optimize(_figure6_circuit())
+        assert report.provenance["resilience"]["rounds_degraded"] >= 1
 
     def test_identity_across_injected_worker_kill(
         self, nam_transformations_small, serial_reference
@@ -243,17 +238,6 @@ class TestByteIdentity:
 
 
 class TestCancellation:
-    def test_stop_check_cancels_immediately(self, nam_transformations_small):
-        result = ParallelBacktrackingStrategy(workers=1).run(
-            _figure6_circuit(),
-            nam_transformations_small,
-            max_iterations=40,
-            stop_check=lambda: True,
-        )
-        assert result.cancelled
-        assert result.iterations == 0
-        assert result.final_cost == result.initial_cost
-
     def test_budgets_bound_iterations(self, nam_transformations_small):
         result = ParallelBacktrackingStrategy(workers=1, wave_width=8).run(
             _figure6_circuit(), nam_transformations_small, max_iterations=5
@@ -261,140 +245,3 @@ class TestCancellation:
         # The wave width is clamped by the remaining budget, so a wave can
         # never overshoot max_iterations.
         assert result.iterations <= 5
-
-
-class TestPortfolio:
-    def test_winner_is_deterministic_not_finish_order(
-        self, nam_transformations_small
-    ):
-        circuit = _figure6_circuit()
-        portfolio = PortfolioStrategy(early_cancel=False)
-        raced = portfolio.run(
-            circuit, nam_transformations_small, max_iterations=40
-        )
-        # Re-run every racer standalone and apply the published rule.
-        ranked = []
-        for index, name in enumerate(DEFAULT_PORTFOLIO):
-            solo = get_strategy(name).run(
-                circuit, nam_transformations_small, max_iterations=40
-            )
-            ranked.append((solo.final_cost, solo.circuit.canonical_key(), index, solo))
-        best_cost, _, win_index, solo_winner = min(ranked, key=lambda r: r[:3])
-        assert raced.final_cost == best_cost
-        assert raced.metadata["winner"] == DEFAULT_PORTFOLIO[win_index]
-        assert _bytes(raced) == _bytes(solo_winner)
-        assert raced.perf["search.racers"] == len(DEFAULT_PORTFOLIO)
-
-    def test_early_cancellation_stops_losing_racers(
-        self, nam_transformations_small
-    ):
-        class SlowStrategy(SearchStrategy):
-            name = "slow-test"
-
-            def run(
-                self,
-                circuit,
-                transformations,
-                cost_model=None,
-                *,
-                timeout_seconds=None,
-                max_iterations=None,
-                stop_check=None,
-            ):
-                from repro.optimizer.cost import GateCountCost
-
-                cost = (cost_model or GateCountCost()).cost(circuit)
-                deadline = time.perf_counter() + 10.0
-                cancelled = False
-                while time.perf_counter() < deadline:
-                    if stop_check is not None and stop_check():
-                        cancelled = True
-                        break
-                    time.sleep(0.005)
-                return OptimizationResult(
-                    circuit=circuit,
-                    initial_cost=cost,
-                    final_cost=cost,
-                    iterations=0,
-                    circuits_explored=0,
-                    time_seconds=0.0,
-                    timed_out=False,
-                    cancelled=cancelled,
-                )
-
-        from repro.optimizer import strategies
-
-        strategies.register_strategy("slow-test", SlowStrategy)
-        try:
-            start = time.perf_counter()
-            result = PortfolioStrategy(racers=("greedy", "slow-test")).run(
-                _hh_circuit(), nam_transformations_small, max_iterations=20
-            )
-            elapsed = time.perf_counter() - start
-        finally:
-            strategies._FACTORIES.pop("slow-test")
-
-        assert result.metadata["winner"] == "greedy"
-        assert result.final_cost < result.initial_cost
-        by_racer = {
-            entry["racer"]: entry for entry in result.metadata["racers"]
-        }
-        assert by_racer["slow-test"]["cancelled"] is True
-        assert result.perf["search.cancelled_racers"] == 1
-        # The loser was stopped cooperatively, not waited out.
-        assert elapsed < 8.0
-
-    def test_losers_run_out_budgets_without_early_cancel(
-        self, nam_transformations_small
-    ):
-        result = PortfolioStrategy(early_cancel=False).run(
-            _hh_circuit(), nam_transformations_small, max_iterations=10
-        )
-        assert not any(
-            entry["cancelled"] for entry in result.metadata["racers"]
-        )
-        assert "search.cancelled_racers" not in result.perf
-
-    def test_unknown_racer_warns_and_is_dropped(self):
-        with pytest.warns(RuntimeWarning, match="unknown portfolio racer"):
-            portfolio = PortfolioStrategy(racers=("greedy", "anneal"))
-        assert portfolio.racers == ("greedy",)
-
-    def test_self_reference_warns_and_is_dropped(self):
-        with pytest.warns(RuntimeWarning, match="cannot race itself"):
-            portfolio = PortfolioStrategy(racers=("portfolio", "beam"))
-        assert portfolio.racers == ("beam",)
-
-    def test_empty_roster_falls_back_to_default(self):
-        with pytest.warns(RuntimeWarning) as record:
-            portfolio = PortfolioStrategy(racers=("anneal",))
-        messages = [str(warning.message) for warning in record]
-        assert any("unknown portfolio racer" in message for message in messages)
-        assert any("no usable portfolio racers" in message for message in messages)
-        assert portfolio.racers == DEFAULT_PORTFOLIO
-
-    def test_racer_exception_propagates(self, nam_transformations_small):
-        class BrokenStrategy(SearchStrategy):
-            name = "broken-test"
-
-            def run(self, circuit, transformations, cost_model=None, **_):
-                raise ZeroDivisionError("racer bug")
-
-        from repro.optimizer import strategies
-
-        strategies.register_strategy("broken-test", BrokenStrategy)
-        try:
-            with pytest.raises(ZeroDivisionError, match="racer bug"):
-                PortfolioStrategy(racers=("broken-test", "greedy")).run(
-                    _hh_circuit(), nam_transformations_small, max_iterations=5
-                )
-        finally:
-            strategies._FACTORIES.pop("broken-test")
-
-    def test_parallel_racer_gets_the_worker_knob(self):
-        portfolio = PortfolioStrategy(
-            racers=("parallel-backtracking",), workers=3
-        )
-        racer = portfolio._build_racer("parallel-backtracking")
-        assert isinstance(racer, ParallelBacktrackingStrategy)
-        assert racer.workers == 3

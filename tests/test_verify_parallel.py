@@ -1,4 +1,4 @@
-"""Tests for sharded multiprocess verification (repro.verifier.parallel).
+"""Tests for sharded multiprocess verification (the ``verify`` site).
 
 The load-bearing property is *determinism*: a run with verifier workers
 must produce an ECC set byte-identical (via ``ECCSet.to_json``) to the
@@ -18,16 +18,14 @@ import pickle
 
 import pytest
 
+from repro.envconfig import VERIFY_WORKERS_ENV_VAR
 from repro.errors import RetryExhausted
 from repro.generator import RepGen
 from repro.ir.circuit import Circuit
 from repro.ir.gatesets import NAM, GateSet
 from repro.verifier import EquivalenceVerifier, VerifierStats
-from repro.verifier.parallel import (
-    VERIFY_WORKERS_ENV_VAR,
-    ParallelVerifierPool,
-    resolve_verify_workers,
-)
+from repro.verifier.parallel import verify_chunk
+from repro.workerpool import ResilientPool, ShardMap, resolve_workers, spec_pool
 
 
 def _generate(verify_workers):
@@ -66,10 +64,10 @@ class TestParallelVerificationEqualsSerial:
     def test_worker_stats_aggregated_into_parent(self, serial_result):
         result = _generate(verify_workers=2)
         perf = result.stats.perf
-        assert perf.get("verifier.parallel.pools") == 1
-        assert perf.get("verifier.parallel.workers") == 2
-        assert perf.get("verifier.parallel.rounds", 0) >= 1
-        assert perf.get("verifier.parallel.pairs", 0) > 0
+        assert perf.get("parallel.verify.pools") == 1
+        assert perf.get("parallel.verify.workers") == 2
+        assert perf.get("parallel.verify.rounds", 0) >= 1
+        assert perf.get("parallel.verify.jobs", 0) > 0
         # The insert loop answered every question from the table.
         assert perf.get("verifier.parallel.table_hits", 0) > 0
         assert perf.get("verifier.parallel.table_misses", 0) == 0
@@ -101,22 +99,35 @@ class TestParallelVerificationEqualsSerial:
     def test_round_failure_falls_back_to_serial(self, serial_result, monkeypatch):
         # Only PoolError (infrastructure failure surviving the pool's own
         # retry loop) triggers the serial fallback; bugs surface instead.
-        def explode(self, pairs, *, round_index=None):
+        def explode(self, chunks, *, round_index=None):
             raise RetryExhausted("injected verifier worker failure")
 
-        monkeypatch.setattr(ParallelVerifierPool, "verify_pairs", explode)
+        monkeypatch.setattr(ResilientPool, "run_chunks", explode)
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             result = _generate(verify_workers=2)
         assert result.ecc_set.to_json() == serial_result.ecc_set.to_json()
+        assert result.stats.perf.get("parallel.verify.round_failures", 0) >= 1
+        assert result.stats.perf.get(
+            "resilience.rounds_degraded"
+        ) == result.stats.perf.get("parallel.verify.round_failures")
+
+    def test_non_pool_errors_surface(self, monkeypatch):
+        def explode(self, chunks, *, round_index=None):
+            raise TypeError("a bug, not an infrastructure failure")
+
+        monkeypatch.setattr(ResilientPool, "run_chunks", explode)
+        with pytest.raises(TypeError, match="a bug"):
+            _generate(verify_workers=2)
 
     def test_pool_setup_failure_falls_back_to_serial(self, serial_result, monkeypatch):
-        def explode(self, spec, workers):
+        def explode(self):
             raise OSError("injected fork failure")
 
-        monkeypatch.setattr(ParallelVerifierPool, "__init__", explode)
-        with pytest.warns(RuntimeWarning, match="verifying serially"):
+        monkeypatch.setattr(ResilientPool, "_spawn", explode)
+        with pytest.warns(RuntimeWarning, match="running serially"):
             result = _generate(verify_workers=2)
         assert result.ecc_set.to_json() == serial_result.ecc_set.to_json()
+        assert result.stats.perf.get("parallel.verify.setup_failures") == 1
 
     def test_custom_verifier_subclass_verifies_serially(self, serial_result):
         class PickyVerifier(EquivalenceVerifier):
@@ -179,22 +190,22 @@ class TestBucketAdjacency:
 class TestWorkerResolution:
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv(VERIFY_WORKERS_ENV_VAR, "7")
-        assert resolve_verify_workers(3) == 3
+        assert resolve_workers(3, VERIFY_WORKERS_ENV_VAR) == 3
 
     def test_env_var_is_read(self, monkeypatch):
         monkeypatch.setenv(VERIFY_WORKERS_ENV_VAR, "4")
-        assert resolve_verify_workers(None) == 4
+        assert resolve_workers(None, VERIFY_WORKERS_ENV_VAR) == 4
         assert RepGen(NAM, num_qubits=2).verify_workers == 4
 
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv(VERIFY_WORKERS_ENV_VAR, raising=False)
-        assert resolve_verify_workers(None) == 1
+        assert resolve_workers(None, VERIFY_WORKERS_ENV_VAR) == 1
         assert RepGen(NAM, num_qubits=2).verify_workers == 1
 
     def test_garbage_env_var_warns_and_runs_serially(self, monkeypatch):
         monkeypatch.setenv(VERIFY_WORKERS_ENV_VAR, "many")
         with pytest.warns(RuntimeWarning, match="non-integer"):
-            assert resolve_verify_workers(None) == 1
+            assert resolve_workers(None, VERIFY_WORKERS_ENV_VAR) == 1
 
     def test_independent_of_fingerprint_workers(self, monkeypatch):
         monkeypatch.setenv("REPRO_GEN_WORKERS", "5")
@@ -227,32 +238,53 @@ class TestVerifierSpec:
         assert pickle.loads(pickle.dumps(spec)) == spec
 
 
+def _verify_map(workers, perf=None):
+    return ShardMap(
+        "verify",
+        EquivalenceVerifier.from_spec,
+        EquivalenceVerifier(num_params=0).spec(),
+        verify_chunk,
+        workers,
+        min_batch=1,
+        perf=perf,
+    )
+
+
 class TestPoolDirectly:
     def test_verify_pairs_returns_results_in_pair_order(self):
+        from repro.perf import PerfRecorder
+
         pairs = [
             (Circuit(1).h(0).h(0), Circuit(1)),  # equivalent
             (Circuit(1).x(0), Circuit(1).z(0)),  # not equivalent
             (Circuit(1).s(0).s(0), Circuit(1).z(0)),  # equivalent
         ]
-        with ParallelVerifierPool(
-            EquivalenceVerifier(num_params=0).spec(), workers=2
-        ) as pool:
-            results, stats, counters = pool.verify_pairs(pairs)
-        assert [r.equivalent for r in results] == [True, False, True]
+        perf = PerfRecorder()
+        with _verify_map(2, perf) as verify_map:
+            outcomes = verify_map.map(pairs)
+        assert [result.equivalent for result, _ in outcomes] == [True, False, True]
+        stats = VerifierStats.merge(stats for _, stats in outcomes)
         assert stats.checks == len(pairs)
         assert isinstance(stats.checks, int)
         assert stats.time_seconds > 0.0
-        assert counters  # worker verifier.* counters came back
+        # The workers' verifier.* counters came back and were merged.
+        assert any(name.startswith("verifier.") for name in perf.counters)
+        assert perf.value("parallel.verify.jobs") == len(pairs)
 
     def test_empty_batch(self):
-        with ParallelVerifierPool(
-            EquivalenceVerifier(num_params=0).spec(), workers=2
-        ) as pool:
-            results, stats, counters = pool.verify_pairs([])
-        assert results == []
-        assert stats.checks == 0
-        assert counters == {}
+        with _verify_map(2) as verify_map:
+            assert verify_map.active
+            assert verify_map.map([]) is None
 
     def test_single_worker_pool_rejected(self):
+        with _verify_map(1) as verify_map:
+            assert not verify_map.active
+            assert verify_map.map([(Circuit(1), Circuit(1))]) is None
         with pytest.raises(ValueError, match="at least 2"):
-            ParallelVerifierPool(EquivalenceVerifier(num_params=0).spec(), 1)
+            spec_pool(
+                "verify",
+                EquivalenceVerifier.from_spec,
+                EquivalenceVerifier(num_params=0).spec(),
+                verify_chunk,
+                1,
+            )
