@@ -6,8 +6,8 @@ later cancellation.  A greedy optimizer (gamma = 1) never takes those
 cost-preserving steps; the backtracking search (gamma = 1.0001) does.  This
 example builds a small circuit with the same character — Hadamard-wrapped
 CNOTs whose flips unlock cancellations — and compares the strategies of the
-search registry (greedy, backtracking, beam) through the Superoptimizer
-facade.
+search registry (greedy, backtracking, parallel-backtracking) through the
+Superoptimizer facade.
 
 Run with:  python examples/backtracking_vs_greedy.py
 """
@@ -39,7 +39,7 @@ def main() -> None:
     # is disabled to compare the *searches* on the raw circuit.
     print("\nGenerating a (3, 2)-complete ECC set for the Nam gate set ...")
     results = {}
-    for strategy in ("greedy", "backtracking", "beam"):
+    for strategy in ("greedy", "backtracking", "parallel-backtracking"):
         facade = Superoptimizer(
             gate_set="nam",
             n=3,
@@ -52,7 +52,10 @@ def main() -> None:
 
     print(f"\ngreedy search (gamma = 1):        {results['greedy'].final_cost:.0f} gates")
     print(f"backtracking search (gamma > 1):  {results['backtracking'].final_cost:.0f} gates")
-    print(f"beam search (width 16):           {results['beam'].final_cost:.0f} gates")
+    print(
+        "parallel backtracking (waves of 8): "
+        f"{results['parallel-backtracking'].final_cost:.0f} gates"
+    )
     backtracking = results["backtracking"]
     print("\nBacktracking result:")
     print(backtracking.circuit)

@@ -2,7 +2,7 @@
 """Assert that serial and multi-worker search find the byte-identical circuit.
 
 The determinism guarantee of ``parallel-backtracking`` (see
-:mod:`repro.optimizer.parallel`) is that the best circuit does not depend
+:mod:`repro.optimizer.search`) is that the best circuit does not depend
 on the worker count: ``workers=1`` runs the identical wave algorithm
 in-process, and any ``workers=N`` run must return the byte-identical best
 circuit at the equal best cost.  This script runs the serial reference

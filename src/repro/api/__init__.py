@@ -14,7 +14,8 @@ Three pluggable seams sit underneath the facade:
   (the reference) and ``"numba"`` (opt-in JIT kernel, present only when
   numba is installed);
 * **search strategies** (:mod:`repro.optimizer.strategies`) —
-  ``"backtracking"`` (Algorithm 2), ``"greedy"`` and ``"beam"``;
+  ``"backtracking"`` (Algorithm 2), ``"greedy"`` and
+  ``"parallel-backtracking"``, presets of one search loop;
 * **configuration** (:mod:`repro.api.config`) — frozen
   ``RunConfig``/``GenerationConfig``/``SearchConfig`` dataclasses with a
   single :meth:`RunConfig.from_env` path for every ``REPRO_*`` knob and

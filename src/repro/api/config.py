@@ -5,8 +5,8 @@ Three layers, composed into one :class:`RunConfig`:
 * :class:`GenerationConfig` — the RepGen scale (n, q), seed, worker pool
   and persistent-cache knobs;
 * :class:`SearchConfig`     — which :mod:`search strategy
-  <repro.optimizer.strategies>` runs and its tuning (gamma, beam width,
-  budgets);
+  <repro.optimizer.strategies>` runs and its tuning (gamma, queue
+  bounds, budgets);
 * :class:`RunConfig`        — gate set, simulator backend, preprocessing
   and output-verification toggles, plus the two layers above.
 
@@ -14,7 +14,7 @@ All three are frozen dataclasses: a config never mutates after
 construction, so a :class:`~repro.api.facade.Superoptimizer` can be shared
 freely.  Derived configs are built with :meth:`RunConfig.with_overrides`,
 which also accepts the nested fields flat (``cfg.with_overrides(n=2,
-strategy="beam")``) since no field name is ambiguous.
+strategy="greedy")``) since no field name is ambiguous.
 
 Precedence: ``RunConfig()`` is pure defaults; :meth:`RunConfig.from_env`
 snapshots every ``REPRO_*`` environment knob (the single place the public
@@ -85,7 +85,8 @@ class SearchConfig:
     ``strategy`` names an entry of the
     :mod:`repro.optimizer.strategies` registry.  Fields that a strategy
     does not understand are simply not passed to it (gamma and the queue
-    bounds go to ``"backtracking"``, ``beam_width`` to ``"beam"``, ...);
+    bounds go to ``"backtracking"``, ``search_workers`` to
+    ``"parallel-backtracking"``, ...);
     ``strategy_options`` adds strategy-specific extras verbatim.
     """
 
@@ -96,7 +97,6 @@ class SearchConfig:
     queue_capacity: int = 2000
     queue_keep: int = 1000
     max_matches_per_transformation: Optional[int] = 16
-    beam_width: int = 16
     #: Worker processes for the parallel search strategies (None: read
     #: ``REPRO_SEARCH_WORKERS`` at run time; 1 means serial — the serial
     #: reference the byte-identity guarantee is stated against).
@@ -116,11 +116,6 @@ class SearchConfig:
             )
         elif name == "greedy":
             options.update(
-                max_matches_per_transformation=self.max_matches_per_transformation,
-            )
-        elif name == "beam":
-            options.update(
-                beam_width=self.beam_width,
                 max_matches_per_transformation=self.max_matches_per_transformation,
             )
         elif name == "parallel-backtracking":
@@ -197,7 +192,8 @@ class RunConfig:
 
             {"gate_set": "ibm", "backend": "numba",
              "generation": {"n": 2, "workers": 4},
-             "search": {"strategy": "beam", "beam_width": 32}}
+             "search": {"strategy": "parallel-backtracking",
+                        "search_workers": 2}}
         """
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):

@@ -5,7 +5,7 @@ Runs the generation-centric experiments with the scale-out knobs exposed::
     python -m repro.experiments.cli generate --gate-set nam --n 3 --q 3
     python -m repro.experiments.cli generator-metrics --gate-set nam --n 1 2 3
     python -m repro.experiments.cli optimize --gate-set nam --circuit tof_3 \
-        --strategy beam --backend numpy
+        --strategy greedy --backend numpy
     python -m repro.experiments.cli registry
     python -m repro.experiments.cli serve --port 8321 --n 2 --q 2
 
@@ -54,6 +54,7 @@ from repro.envconfig import (
     VERIFY_WORKERS_ENV_VAR,
     WORKERS_ENV_VAR,
 )
+from repro.optimizer.strategies import available_strategies
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
@@ -266,7 +267,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_registry(args: argparse.Namespace) -> int:
     """List the pluggable backends and strategies this build offers."""
-    from repro.api import available_strategies, backend_available
+    from repro.api import backend_available
     from repro.envconfig import env_batched
     from repro.optimizer.strategies import get_strategy
     from repro.semantics.backend import get_backend, registered_backends
@@ -350,10 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "--strategy",
         default="backtracking",
-        help=(
-            "search strategy (backtracking, greedy, beam, "
-            "parallel-backtracking)"
-        ),
+        help=f"search strategy ({', '.join(available_strategies())})",
     )
     optimize.add_argument(
         "--backend",

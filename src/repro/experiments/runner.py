@@ -133,10 +133,11 @@ def quartz_optimize(
     Returns (preprocessed circuit, optimized circuit, search result) so the
     gate-count tables can report both the "Quartz Preprocess" and the
     "Quartz End-to-end" columns.  ``strategy`` / ``search_workers`` select
-    the search variant (``"parallel-backtracking"`` with workers > 1
-    shards frontier expansion; the best circuit stays byte-identical to
-    the serial default, so tables built through this wrapper are
-    worker-count invariant).
+    the search variant.  ``"parallel-backtracking"`` with workers > 1
+    shards frontier expansion; its best circuit is byte-identical to its
+    own ``workers=1`` run at every worker count, so tables built through
+    this wrapper are worker-count invariant.  It is *not* identical to the
+    default ``"backtracking"``: its waves of 8 explore a different frontier.
     """
     optimizer = Superoptimizer(
         RunConfig(

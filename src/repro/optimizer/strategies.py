@@ -1,49 +1,48 @@
-"""Pluggable search strategies over verified transformations.
+"""Named search strategies: presets of the one Algorithm-2 loop.
 
-The cost-based backtracking search of Algorithm 2 is one point in a design
-space: greedy rewriting (gamma = 1) and beam search are natural siblings
-that share all of the matcher/cost plumbing but explore differently.  This
-module abstracts that seam behind a :class:`SearchStrategy` protocol and a
-registry, so new scenarios plug in a strategy instead of forking
+Every strategy runs :class:`~repro.optimizer.search.BacktrackingOptimizer`;
+they differ only in its tuning.  The registry lets scenarios select one by
+name through :class:`repro.api.SearchConfig` (``strategy="greedy"``) or
+:func:`get_strategy`, and lets new strategies plug in without forking
 ``search.py``:
 
-* ``"backtracking"`` — :class:`~repro.optimizer.search.BacktrackingOptimizer`
-  (the paper's Algorithm 2; the default);
+* ``"backtracking"`` — the paper's Algorithm 2 (the default): one circuit
+  per wave, gamma = 1.0001;
 * ``"greedy"``       — gamma = 1 with a small queue: only strictly
   cost-decreasing rewrites;
-* ``"beam"``         — fixed-width frontier: every iteration expands the
-  whole beam by every applicable transformation and keeps the cheapest
-  ``beam_width`` distinct successors, which tolerates cost-preserving moves
-  without an unbounded queue;
-* ``"parallel-backtracking"`` — the wave-synchronous work-sharing variant
-  (frontier expansion sharded across a worker pool, byte-identical best
-  circuit regardless of worker count; see :mod:`repro.optimizer.parallel`).
+* ``"parallel-backtracking"`` — ``wave_width`` circuits (8) per wave,
+  expanded across ``workers`` processes.  Its best circuit is
+  byte-identical at every worker count, but not to ``"backtracking"``'s:
+  a wave commits to its cheapest circuits before seeing any of their
+  successors, so it explores a different frontier.
 
-Strategies are selected by name through
-:class:`repro.api.SearchConfig` (``strategy="beam"``) or obtained directly
-with :func:`get_strategy`.  All strategies return the same
+All strategies return the same
 :class:`~repro.optimizer.search.OptimizationResult`.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.envconfig import SEARCH_WORKERS_ENV_VAR
 from repro.ir.circuit import Circuit
-from repro.optimizer.cost import CostModel, GateCountCost
-from repro.optimizer.matcher import PatternMatcher
+from repro.optimizer.cost import CostModel
 from repro.optimizer.search import BacktrackingOptimizer, OptimizationResult
 from repro.optimizer.xfer import Transformation
-from repro.perf import PerfRecorder
+from repro.workerpool import resolve_workers
+
+#: Frontier circuits ``parallel-backtracking`` expands per wave.
+#: Deliberately *not* derived from the worker count: the explored frontier
+#: must be a function of the tuning options alone, or serial and N-worker
+#: runs would explore different spaces and the byte-identity guarantee
+#: would be vacuous.
+DEFAULT_WAVE_WIDTH = 8
 
 
 class SearchStrategy:
     """Base class for search strategies.
 
-    A strategy instance holds its tuning options (gamma, beam width, ...)
+    A strategy instance holds its tuning options (gamma, queue bounds, ...)
     and is reusable across circuits; :meth:`run` receives the per-run
     inputs.  ``name`` is the registry key and appears in run reports.
     ``supports_workers`` marks strategies that can use ``REPRO_SEARCH_WORKERS``
@@ -72,6 +71,10 @@ class BacktrackingStrategy(SearchStrategy):
     """Algorithm 2 (the default): cost-based backtracking search."""
 
     name = "backtracking"
+    wave_width = 1
+    workers: Optional[int] = 1
+    chunk_timeout: Optional[float] = None
+    chunk_retries: Optional[int] = None
 
     def __init__(
         self,
@@ -102,6 +105,10 @@ class BacktrackingStrategy(SearchStrategy):
             queue_capacity=self.queue_capacity,
             queue_keep=self.queue_keep,
             max_matches_per_transformation=self.max_matches_per_transformation,
+            wave_width=self.wave_width,
+            workers=resolve_workers(self.workers, SEARCH_WORKERS_ENV_VAR),
+            chunk_timeout=self.chunk_timeout,
+            chunk_retries=self.chunk_retries,
         )
         return optimizer.optimize(
             circuit,
@@ -124,128 +131,41 @@ class GreedyStrategy(BacktrackingStrategy):
         )
 
 
-class BeamStrategy(SearchStrategy):
-    """Fixed-width frontier search sharing the matcher/cost plumbing.
+class ParallelBacktrackingStrategy(BacktrackingStrategy):
+    """Algorithm 2 in waves of ``wave_width`` circuits over a worker pool.
 
-    Each iteration expands every beam member by every applicable
-    transformation (with the same gate-multiset prefilter the backtracking
-    search uses) and keeps the ``beam_width`` cheapest distinct successors.
-    Cost-preserving moves survive as long as they stay inside the beam, so
-    CNOT-flip style detours remain reachable with a frontier of bounded
-    width.
-
-    Dedup semantics: circuits that have ever been *admitted to the beam*
-    are never revisited (this is what guarantees termination when the
-    rewrite space is finite); successors that were generated but cut by the
-    width bound are only deduped within their own generation, so a later
-    beam can rediscover them when they become the gateway to an
-    improvement.
+    ``workers=None`` reads ``REPRO_SEARCH_WORKERS`` at run time; ``workers=1``
+    runs the identical waves in-process — the serial reference every worker
+    count is byte-identical to.
     """
 
-    name = "beam"
+    name = "parallel-backtracking"
+    supports_workers = True
 
     def __init__(
         self,
         *,
-        beam_width: int = 16,
+        workers: Optional[int] = None,
+        gamma: float = 1.0001,
+        wave_width: int = DEFAULT_WAVE_WIDTH,
+        queue_capacity: int = 2000,
+        queue_keep: int = 1000,
         max_matches_per_transformation: Optional[int] = 16,
+        chunk_timeout: Optional[float] = None,
+        chunk_retries: Optional[int] = None,
     ) -> None:
-        if beam_width < 1:
-            raise ValueError("beam_width must be at least 1")
-        self.beam_width = beam_width
-        self.max_matches_per_transformation = max_matches_per_transformation
-
-    def run(
-        self,
-        circuit,
-        transformations,
-        cost_model=None,
-        *,
-        timeout_seconds=None,
-        max_iterations=None,
-    ):
-        start = time.perf_counter()
-        cost_model = cost_model or GateCountCost()
-        perf = PerfRecorder()
-        counter = itertools.count()
-
-        initial_cost = cost_model.cost(circuit)
-        best_circuit = circuit
-        best_cost = initial_cost
-        cost_trace: List[Tuple[float, float]] = [(0.0, best_cost)]
-
-        beam: List[Circuit] = [circuit]
-        admitted: set = {circuit.canonical_key()}
-        iterations = 0
-        explored = 1
-        timed_out = False
-        max_matches = self.max_matches_per_transformation
-
-        while beam:
-            elapsed = time.perf_counter() - start
-            if timeout_seconds is not None and elapsed > timeout_seconds:
-                timed_out = True
-                break
-            if max_iterations is not None and iterations >= max_iterations:
-                break
-            iterations += 1
-
-            successors: List[Tuple[float, int, tuple, Circuit]] = []
-            generation_seen: set = set()
-            for current in beam:
-                if timeout_seconds is not None and (
-                    time.perf_counter() - start > timeout_seconds
-                ):
-                    timed_out = True
-                    break
-                matcher = PatternMatcher(current, perf=perf)
-                perf.count("search.matchers_built")
-                for transformation in transformations:
-                    if not current.contains_gate_counts(
-                        transformation.source_gate_counts
-                    ):
-                        perf.count("search.transformations_skipped")
-                        continue
-                    perf.count("search.transformations_matched")
-                    for new_circuit in matcher.apply_all(
-                        transformation, max_matches=max_matches
-                    ):
-                        key = new_circuit.canonical_key()
-                        if key in admitted or key in generation_seen:
-                            perf.count("search.seen_rejects")
-                            continue
-                        generation_seen.add(key)
-                        new_cost = cost_model.cost(new_circuit)
-                        explored += 1
-                        successors.append(
-                            (new_cost, next(counter), key, new_circuit)
-                        )
-                        if new_cost < best_cost:
-                            best_cost = new_cost
-                            best_circuit = new_circuit
-                            cost_trace.append(
-                                (time.perf_counter() - start, best_cost)
-                            )
-            if timed_out or not successors:
-                break
-            selected = heapq.nsmallest(self.beam_width, successors)
-            beam = []
-            for _, _, key, selected_circuit in selected:
-                admitted.add(key)
-                beam.append(selected_circuit)
-            perf.count("search.beam_generations")
-
-        return OptimizationResult(
-            circuit=best_circuit,
-            initial_cost=initial_cost,
-            final_cost=best_cost,
-            iterations=iterations,
-            circuits_explored=explored,
-            time_seconds=time.perf_counter() - start,
-            timed_out=timed_out,
-            cost_trace=cost_trace,
-            perf=perf.snapshot(),
+        if wave_width < 1:
+            raise ValueError("wave_width must be at least 1")
+        super().__init__(
+            gamma=gamma,
+            queue_capacity=queue_capacity,
+            queue_keep=queue_keep,
+            max_matches_per_transformation=max_matches_per_transformation,
         )
+        self.workers = workers
+        self.wave_width = wave_width
+        self.chunk_timeout = chunk_timeout
+        self.chunk_retries = chunk_retries
 
 
 # -- registry ----------------------------------------------------------------
@@ -269,7 +189,7 @@ def get_strategy(name: str | SearchStrategy, **options) -> SearchStrategy:
     """Build a strategy by name; ``options`` go to the strategy factory.
 
     Unknown options are rejected by the factory's signature, so a typo in
-    e.g. ``beam_width`` fails loudly instead of being ignored.
+    e.g. ``wave_width`` fails loudly instead of being ignored.
     """
     if isinstance(name, SearchStrategy):
         if options:
@@ -290,12 +210,4 @@ def available_strategies() -> List[str]:
 
 register_strategy("backtracking", BacktrackingStrategy)
 register_strategy("greedy", GreedyStrategy)
-register_strategy("beam", BeamStrategy)
-
-# The parallel strategy lives in its own module (worker-side code must
-# be importable without pulling the registry in first) and register
-# itself at *its* import bottom; importing the module here makes
-# ``get_strategy("parallel-backtracking")`` work however the package is
-# entered.  The import is circular-safe in both directions: this module
-# only needs the submodule to *execute*, not any attribute of it.
-from repro.optimizer import parallel as _parallel  # noqa: E402,F401  (registration side effect)
+register_strategy("parallel-backtracking", ParallelBacktrackingStrategy)

@@ -68,7 +68,7 @@ class ServiceConfig:
     max_queue: int = 64
     #: The base configuration requests are layered onto with
     #: ``with_overrides`` — exactly the facade's override routing, so a
-    #: request body may say ``{"config": {"n": 2, "strategy": "beam"}}``.
+    #: request body may say ``{"config": {"n": 2, "strategy": "greedy"}}``.
     run_config: RunConfig = field(default_factory=_default_run_config)
 
     @classmethod

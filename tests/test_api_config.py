@@ -80,12 +80,16 @@ class TestFromEnv:
 class TestOverrides:
     def test_flat_routing_to_nested_layers(self):
         config = RunConfig().with_overrides(
-            n=2, q=2, strategy="beam", beam_width=8, backend="numpy"
+            n=2,
+            q=2,
+            strategy="parallel-backtracking",
+            search_workers=8,
+            backend="numpy",
         )
         assert config.generation.n == 2
         assert config.generation.q == 2
-        assert config.search.strategy == "beam"
-        assert config.search.beam_width == 8
+        assert config.search.strategy == "parallel-backtracking"
+        assert config.search.search_workers == 8
         assert config.backend == "numpy"
 
     def test_nested_mappings_and_instances(self):
@@ -117,7 +121,7 @@ class TestSources:
                 {
                     "gate_set": "ibm",
                     "generation": {"workers": 2, "n": 2},
-                    "search": {"strategy": "beam"},
+                    "search": {"strategy": "greedy"},
                 }
             )
         )
@@ -126,7 +130,7 @@ class TestSources:
         # the file's gate set.
         assert config.generation.workers == 2
         assert config.generation.n == 2
-        assert config.search.strategy == "beam"
+        assert config.search.strategy == "greedy"
         assert config.gate_set == "rigetti"
         assert config.scale == "quick"
 
@@ -139,18 +143,20 @@ class TestSources:
 
 class TestStrategyOptions:
     def test_options_per_builtin_strategy(self):
-        search = SearchConfig(gamma=1.5, beam_width=9, queue_capacity=10)
+        search = SearchConfig(gamma=1.5, search_workers=9, queue_capacity=10)
         assert search.options_for("backtracking")["gamma"] == 1.5
         assert search.options_for("backtracking")["queue_capacity"] == 10
-        assert "gamma" not in search.options_for("beam")
-        assert search.options_for("beam")["beam_width"] == 9
+        assert "workers" not in search.options_for("backtracking")
+        assert search.options_for("parallel-backtracking")["workers"] == 9
         assert set(search.options_for("greedy")) == {
             "max_matches_per_transformation"
         }
 
     def test_strategy_options_extend_and_override(self):
-        search = SearchConfig(strategy="beam", strategy_options={"beam_width": 3})
-        assert search.options_for()["beam_width"] == 3
+        search = SearchConfig(
+            strategy="parallel-backtracking", strategy_options={"wave_width": 3}
+        )
+        assert search.options_for()["wave_width"] == 3
 
     def test_as_dict_is_json_friendly(self):
         payload = RunConfig(gate_set="nam").as_dict()

@@ -79,3 +79,12 @@ class TestCommands:
     def test_unknown_command_fails(self):
         with pytest.raises(SystemExit):
             cli.main(["frobnicate"])
+
+    def test_strategy_help_lists_the_registry(self, monkeypatch, capsys):
+        from repro.optimizer.strategies import available_strategies
+
+        monkeypatch.setenv("COLUMNS", "200")  # keep the help line unwrapped
+        with pytest.raises(SystemExit):
+            cli.main(["optimize", "--help"])
+        names = ", ".join(available_strategies())
+        assert f"search strategy ({names})" in capsys.readouterr().out

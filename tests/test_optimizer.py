@@ -1,5 +1,6 @@
 """Tests for transformations, the pattern matcher and the backtracking search."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -206,6 +207,29 @@ class TestBacktrackingSearch:
         assert result.final_cost <= result.initial_cost
         assert result.circuit.num_qubits == circuit.num_qubits
 
+    def test_stop_cuts_an_in_process_expansion_short(self, nam_transformations_small):
+        """The deadline poll inside one expansion: a stop that fires at its
+        first check returns the successors found so far, in order."""
+        from repro.optimizer.search import ExpansionContext, expand
+        from repro.perf import PerfRecorder
+
+        circuit = Circuit(2)
+        for _ in range(6):
+            circuit.h(0).h(1).cx(0, 1).h(0).h(1).x(0).x(0)
+        context = ExpansionContext(nam_transformations_small, GateCountCost(), 16)
+        full = expand(context, circuit, float("inf"), PerfRecorder())
+        polls = []
+        cut = expand(
+            context,
+            circuit,
+            float("inf"),
+            PerfRecorder(),
+            stop=lambda: polls.append(1) or True,
+        )
+        assert polls == [1]
+        assert 0 < len(cut) < len(full)
+        assert [key for _, key, _ in cut] == [key for _, key, _ in full[: len(cut)]]
+
     def test_no_timeout_leaves_flag_unset(self, nam_transformations_small):
         circuit = Circuit(2).h(0).h(0)
         optimizer = BacktrackingOptimizer(nam_transformations_small)
@@ -229,3 +253,30 @@ class TestBacktrackingSearch:
         # The cost-preserving H-pushing moves are unavailable at gamma = 1, so
         # greedy cannot beat the backtracking search on this circuit.
         assert backtracking_result.final_cost <= greedy_result.final_cost
+
+
+class TestDefaultStrategyBytes:
+    """The default strategy's best circuit, pinned by digest.
+
+    Both runs end at their input cost, so the digests also pin the best
+    rule: the first strictly cheaper circuit wins, and an equal-cost
+    circuit never displaces the incumbent.
+    """
+
+    DIGESTS = {
+        "tof_3": "be7db3cf873cfbdeb6f338967dd8cb74b65c4ddf0731e99a31923f5ef752fc3d",
+        "barenco_tof_3": "b6dcf9fa8f97ef40aa6561d21e42a759e498acb67a3cfd185fc2a7129665f541",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_best_circuit_digest(self, nam_transformations_small, name):
+        from repro.benchmarks_suite import benchmark_circuit
+        from repro.ir.qasm import to_qasm
+        from repro.preprocess import preprocess
+
+        circuit = preprocess(benchmark_circuit(name), "nam")
+        result = BacktrackingOptimizer(nam_transformations_small).optimize(
+            circuit, max_iterations=15
+        )
+        digest = hashlib.sha256(to_qasm(result.circuit).encode()).hexdigest()
+        assert digest == self.DIGESTS[name]

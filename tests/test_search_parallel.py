@@ -1,10 +1,11 @@
 """Tests for the parallel work-sharing search (``parallel-backtracking``).
 
-The contract under test (see :mod:`repro.optimizer.parallel`): the best
+The contract under test (see :mod:`repro.optimizer.search`): the best
 circuit of ``parallel-backtracking`` is *byte-identical* to the serial
 reference (``workers=1`` — the identical wave algorithm in-process) for
 every worker count, under shuffled chunk completion order, after pool
-degradation and across injected worker faults.
+degradation and across injected worker faults.  At ``wave_width=1`` it is
+the default ``backtracking`` search itself.
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ from repro.errors import RetryExhausted
 from repro.faults import FaultPlan
 from repro.generator.ecc import circuit_to_payload
 from repro.ir import Circuit
-from repro.optimizer.parallel import ParallelBacktrackingStrategy
 from repro.optimizer.search import OptimizationResult
-from repro.optimizer.strategies import available_strategies, get_strategy
+from repro.optimizer.strategies import (
+    ParallelBacktrackingStrategy,
+    available_strategies,
+    get_strategy,
+)
 from repro.semantics.simulator import circuits_equivalent_numeric
 from repro.workerpool import ResilientPool, resolve_workers
 
@@ -73,7 +77,7 @@ class TestRegistryEntries:
     def test_worker_support_flags(self):
         assert get_strategy("parallel-backtracking").supports_workers
         assert not get_strategy("backtracking").supports_workers
-        assert not get_strategy("beam").supports_workers
+        assert not get_strategy("greedy").supports_workers
 
     def test_wave_width_validation(self):
         with pytest.raises(ValueError, match="wave_width"):
@@ -115,6 +119,19 @@ class TestByteIdentity:
         assert result.circuits_explored == serial_reference.circuits_explored
         assert result.metadata["search_workers"] == workers
         assert result.metadata["waves"] == serial_reference.metadata["waves"]
+
+    def test_wave_width_one_is_the_default_search(self, nam_transformations_small):
+        circuit = _figure6_circuit()
+        default = get_strategy("backtracking").run(
+            circuit, nam_transformations_small, max_iterations=40
+        )
+        single = ParallelBacktrackingStrategy(workers=1, wave_width=1).run(
+            circuit, nam_transformations_small, max_iterations=40
+        )
+        assert _bytes(single) == _bytes(default)
+        assert single.iterations == default.iterations
+        assert single.circuits_explored == default.circuits_explored
+        assert single.perf == default.perf
 
     def test_shuffled_completion_order_cannot_change_the_merge(
         self, nam_transformations_small, serial_reference, monkeypatch

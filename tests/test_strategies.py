@@ -1,4 +1,4 @@
-"""Tests for the search-strategy registry (backtracking / greedy / beam)."""
+"""Tests for the search-strategy registry (backtracking / greedy / parallel)."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ from repro.ir import Circuit
 from repro.optimizer import BacktrackingOptimizer
 from repro.optimizer.search import OptimizationResult
 from repro.optimizer.strategies import (
-    BeamStrategy,
     GreedyStrategy,
+    ParallelBacktrackingStrategy,
     SearchStrategy,
     available_strategies,
     get_strategy,
@@ -32,24 +32,30 @@ def _figure6_circuit() -> Circuit:
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        assert {"backtracking", "greedy", "beam"} <= set(available_strategies())
+        assert {"backtracking", "greedy", "parallel-backtracking"} <= set(
+            available_strategies()
+        )
 
     def test_unknown_strategy_raises_with_known_names(self):
         with pytest.raises(KeyError, match="backtracking"):
             get_strategy("anneal")
+        with pytest.raises(KeyError, match="unknown search strategy 'beam'"):
+            get_strategy("beam")
 
     def test_options_reach_the_factory(self):
-        strategy = get_strategy("beam", beam_width=5)
-        assert isinstance(strategy, BeamStrategy)
-        assert strategy.beam_width == 5
+        strategy = get_strategy("parallel-backtracking", wave_width=5)
+        assert isinstance(strategy, ParallelBacktrackingStrategy)
+        assert strategy.wave_width == 5
         with pytest.raises(TypeError):
-            get_strategy("beam", gamma=2.0)  # beam has no gamma
+            get_strategy("greedy", gamma=2.0)  # greedy fixes gamma = 1
+        with pytest.raises(TypeError):
+            get_strategy("backtracking", wave_width=2)  # a parallel option
 
     def test_instance_passthrough_rejects_options(self):
         strategy = GreedyStrategy()
         assert get_strategy(strategy) is strategy
         with pytest.raises(ValueError):
-            get_strategy(strategy, beam_width=2)
+            get_strategy(strategy, wave_width=2)
 
     def test_custom_registration(self):
         class NoOpStrategy(SearchStrategy):
@@ -78,7 +84,7 @@ class TestRegistry:
 
             strategies._FACTORIES.pop("noop-test")
         with pytest.raises(ValueError, match="already registered"):
-            register_strategy("beam", BeamStrategy)
+            register_strategy("greedy", GreedyStrategy)
 
 
 class TestStrategyBehaviour:
@@ -95,47 +101,9 @@ class TestStrategyBehaviour:
         assert via_registry.final_cost == direct.final_cost
         assert via_registry.circuit == direct.circuit
 
-    def test_beam_finds_the_cost_preserving_detour(
-        self, nam_transformations_small
-    ):
-        """Beam search, like backtracking, survives the Figure 6 plateau."""
-        circuit = _figure6_circuit()
-        greedy = get_strategy("greedy").run(
-            circuit, nam_transformations_small, max_iterations=300
-        )
-        beam = get_strategy("beam", beam_width=16).run(
-            circuit, nam_transformations_small, max_iterations=30
-        )
-        assert beam.final_cost <= greedy.final_cost
-        assert beam.final_cost < beam.initial_cost
-        assert circuits_equivalent_numeric(circuit, beam.circuit)
-
-    def test_beam_respects_iteration_budget_and_traces(
-        self, nam_transformations_small
-    ):
-        result = get_strategy("beam", beam_width=4).run(
-            _figure6_circuit(), nam_transformations_small, max_iterations=2
-        )
-        assert result.iterations <= 2
-        assert result.cost_trace[0] == (0.0, result.initial_cost)
-        assert not result.timed_out
-
-    def test_beam_timeout(self, nam_transformations_small):
-        result = get_strategy("beam", beam_width=64).run(
-            _figure6_circuit(),
-            nam_transformations_small,
-            timeout_seconds=0.0,
-        )
-        assert result.timed_out
-        assert result.final_cost <= result.initial_cost
-
-    def test_beam_width_validation(self):
-        with pytest.raises(ValueError, match="beam_width"):
-            BeamStrategy(beam_width=0)
-
     def test_all_strategies_preserve_equivalence(self, nam_transformations_small):
         circuit = _figure6_circuit()
-        for name in ("backtracking", "greedy", "beam"):
+        for name in ("backtracking", "greedy", "parallel-backtracking"):
             result = get_strategy(name).run(
                 circuit, nam_transformations_small, max_iterations=50
             )
