@@ -8,7 +8,10 @@ these are provided and exercised by the ablation benches.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.ir.circuit import Circuit
+from repro.optimizer.xfer import Transformation
 
 
 class CostModel:
@@ -18,6 +21,16 @@ class CostModel:
 
     def cost(self, circuit: Circuit) -> float:
         raise NotImplementedError
+
+    def delta(self, transformation: Transformation) -> Optional[float]:
+        """The exact cost change of every application of ``transformation``,
+        or ``None`` when it depends on where the rewrite lands.
+
+        The search skips a transformation outright when the current cost
+        plus its delta cannot pass the gamma gate; models without a delta
+        match every transformation.
+        """
+        return None
 
     def __call__(self, circuit: Circuit) -> float:
         return self.cost(circuit)
@@ -33,6 +46,10 @@ class GateCountCost(CostModel):
 
     def cost(self, circuit: Circuit) -> float:
         return float(circuit.gate_count)
+
+    def delta(self, transformation: Transformation) -> Optional[float]:
+        # A splice swaps exactly len(source) gates for len(target).
+        return float(transformation.gate_delta)
 
 
 class TwoQubitCountCost(CostModel):

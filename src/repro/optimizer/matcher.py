@@ -62,10 +62,6 @@ class PatternMatcher:
         for qubit, wire in enumerate(self.dag.wires):
             for position, node_id in enumerate(wire):
                 self._wire_pos[node_id][qubit] = position
-        # Matches keyed by (pattern identity, match limit): many
-        # transformations extracted from one ECC share a source pattern, so
-        # the backtracking search runs once per distinct pattern.
-        self._match_cache: Dict[tuple, List[Match]] = {}
         # Bitmask reachability for O(pattern-size) convexity checks.
         self._descendants_mask, self._ancestors_mask = self.dag.reachability_masks()
 
@@ -327,26 +323,6 @@ class PatternMatcher:
         ]
         return self.dag.splice(match.node_ids, replacement)
 
-    def matches_for(
-        self,
-        transformation: Transformation,
-        max_matches: Optional[int] = None,
-    ) -> List[Match]:
-        """Matches of the transformation's source pattern, cached by pattern.
-
-        Matches depend only on the source circuit, so transformations that
-        share a source (every ``C_1 -> C_i`` of one ECC) reuse one search.
-        """
-        cache_key = (transformation.source_key, max_matches)
-        cached = self._match_cache.get(cache_key)
-        if cached is not None:
-            self.perf.count("matcher.match_cache.hits")
-            return cached
-        self.perf.count("matcher.match_cache.misses")
-        matches = self.find_matches(transformation.source, max_matches=max_matches)
-        self._match_cache[cache_key] = matches
-        return matches
-
     def apply_all(
         self,
         transformation: Transformation,
@@ -355,7 +331,7 @@ class PatternMatcher:
         """All distinct circuits obtainable by applying ``transformation``."""
         results: List[Circuit] = []
         seen_keys: set = set()
-        for match in self.matches_for(transformation, max_matches=max_matches):
+        for match in self.find_matches(transformation.source, max_matches=max_matches):
             new_circuit = self.apply(transformation, match)
             if new_circuit is None:
                 continue

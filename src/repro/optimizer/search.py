@@ -70,8 +70,8 @@ class OptimizationResult:
     # (elapsed seconds, best cost) samples recorded whenever the best improves,
     # used to draw the Figure 8 style time curves.
     cost_trace: List[Tuple[float, float]] = field(default_factory=list)
-    # Hot-path instrumentation: matcher calls, match cache hit rates,
-    # transformations skipped by the gate-multiset index (see repro.perf).
+    # Hot-path instrumentation: matcher calls, transformations skipped by
+    # the gate-multiset index or pruned by the bound (see repro.perf).
     perf: Dict[str, float] = field(default_factory=dict)
     # Run extras: worker count, wave count and whether a pool was up.
     metadata: Dict[str, Any] = field(default_factory=dict)
@@ -103,6 +103,8 @@ class ExpansionContext:
         self.transformations = list(transformations)
         self.cost_model = cost_model
         self.max_matches_per_transformation = max_matches_per_transformation
+        # Derived, not shipped: a worker rebuilt from the spec recomputes it.
+        self.deltas = [cost_model.delta(t) for t in self.transformations]
 
     def spec(self) -> dict:
         """The picklable worker-initializer payload (see ``from_spec``)."""
@@ -130,8 +132,12 @@ def expand(
 ) -> List[Successor]:
     """Every successor of ``circuit`` cheaper than ``bound``, in rule order.
 
-    The cost is computed before the canonical key, so successors at or
-    above the bound never pay for a key.  ``stop`` (in-process runs only)
+    Bound pruning: a transformation whose cost model gives an exact
+    ``delta`` is skipped unmatched when ``cost(circuit) + delta >= bound``,
+    since every one of its successors would cost exactly that and be
+    rejected below (counted as ``search.bound_prunes``).  Models whose
+    ``delta`` is ``None`` match every transformation and reject successors
+    on their computed cost.  ``stop`` (in-process runs only)
     is polled every :data:`TIMEOUT_CHECK_STRIDE` units of work and cuts
     the sweep short when it returns true; without it the function reads
     no clock and consults no shared state — dedup against the seen-set
@@ -141,8 +147,9 @@ def expand(
     perf.count("search.matchers_built")
     successors: List[Successor] = []
     max_matches = context.max_matches_per_transformation
+    current = context.cost_model.cost(circuit)
     work = 0
-    for transformation in context.transformations:
+    for transformation, delta in zip(context.transformations, context.deltas):
         work += 1
         if stop is not None and work >= TIMEOUT_CHECK_STRIDE:
             work = 0
@@ -152,6 +159,9 @@ def expand(
         # contains its gate multiset.
         if not circuit.contains_gate_counts(transformation.source_gate_counts):
             perf.count("search.transformations_skipped")
+            continue
+        if delta is not None and current + delta >= bound:
+            perf.count("search.bound_prunes")
             continue
         perf.count("search.transformations_matched")
         for new_circuit in matcher.apply_all(transformation, max_matches=max_matches):

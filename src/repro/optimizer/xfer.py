@@ -45,12 +45,6 @@ class Transformation:
         """
         return self.source.gate_counts()
 
-    @cached_property
-    def source_key(self) -> tuple:
-        """Identity of the source pattern; transformations extracted from the
-        same ECC share sources, so the matcher caches matches under this."""
-        return self.source.sequence_key()
-
     def __repr__(self) -> str:
         return (
             f"Transformation({self.name or 'unnamed'}: "
@@ -58,17 +52,9 @@ class Transformation:
         )
 
 
-def transformations_from_ecc_set(
-    ecc_set: ECCSet, include_cost_increasing: bool = True
-) -> List[Transformation]:
-    """Expand an ECC set into explicit transformations.
-
-    Args:
-        ecc_set: the (pruned) ECC set produced by the generator.
-        include_cost_increasing: when False, transformations whose target has
-            more gates than their source are omitted (useful for the greedy
-            baseline; the backtracking search wants them for gamma > 1).
-    """
+def transformations_from_ecc_set(ecc_set: ECCSet) -> List[Transformation]:
+    """Expand an ECC set (as produced by the generator) into explicit
+    transformations."""
     transformations: List[Transformation] = []
     for ecc_index, ecc in enumerate(ecc_set):
         representative = ecc.representative
@@ -79,8 +65,6 @@ def transformations_from_ecc_set(
             ]
             for source, target in pairs:
                 if len(source) == 0:
-                    continue
-                if not include_cost_increasing and len(target) > len(source):
                     continue
                 transformations.append(
                     Transformation(

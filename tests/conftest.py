@@ -40,6 +40,17 @@ def nam_transformations_small(nam_ecc_q2_n3):
     return transformations_from_ecc_set(nam_ecc_q2_n3)
 
 
+@pytest.fixture(scope="session")
+def nam_transformations_quick():
+    """Transformations from the pruned (3, 3) Nam ECC set, the quick
+    experiment scale (178 rules); unlike the q = 2 rules they reduce
+    ``mod5_4``."""
+    result = RepGen(NAM, num_qubits=3).generate(3)
+    return transformations_from_ecc_set(
+        prune_common_subcircuits(simplify_ecc_set(result.ecc_set))
+    )
+
+
 def random_clifford_t_circuit(
     num_qubits: int, num_gates: int, seed: int, include_ccx: bool = False
 ) -> Circuit:

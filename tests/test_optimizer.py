@@ -46,14 +46,6 @@ class TestTransformations:
         assert transformations
         assert all(len(t.source) > 0 for t in transformations)
 
-    def test_cost_increasing_can_be_excluded(self, nam_ecc_q2_n2):
-        all_xf = transformations_from_ecc_set(nam_ecc_q2_n2)
-        decreasing = transformations_from_ecc_set(
-            nam_ecc_q2_n2, include_cost_increasing=False
-        )
-        assert len(decreasing) <= len(all_xf)
-        assert all(t.gate_delta <= 0 for t in decreasing)
-
     def test_gate_delta(self):
         t = Transformation(Circuit(1).h(0).h(0), Circuit(1))
         assert t.gate_delta == -2
@@ -255,28 +247,121 @@ class TestBacktrackingSearch:
         assert backtracking_result.final_cost <= greedy_result.final_cost
 
 
-class TestDefaultStrategyBytes:
-    """The default strategy's best circuit, pinned by digest.
+class TestBoundPruning:
+    """``expand`` skips a rule when ``cost + delta`` cannot pass the bound;
+    the prune must be exact, so the successor list equals the unpruned
+    path's at every bound."""
 
-    Both runs end at their input cost, so the digests also pin the best
-    rule: the first strictly cheaper circuit wins, and an equal-cost
-    circuit never displaces the incumbent.
+    class NoDeltaGateCount(GateCountCost):
+        """Gate count without a delta: the unpruned reference path."""
+
+        def delta(self, transformation):
+            return None
+
+    @staticmethod
+    def _circuit(name):
+        from repro.benchmarks_suite import benchmark_circuit
+        from repro.preprocess import preprocess
+
+        return preprocess(benchmark_circuit(name), "nam")
+
+    @pytest.mark.parametrize("name", ["tof_3", "mod5_4"])
+    def test_delta_is_the_exact_cost_change(self, nam_transformations_small, name):
+        circuit = self._circuit(name)
+        cost_model = GateCountCost()
+        cost = cost_model.cost(circuit)
+        matcher = PatternMatcher(circuit)
+        applied = 0
+        for transformation in nam_transformations_small:
+            delta = cost_model.delta(transformation)
+            for match in matcher.find_matches(transformation.source):
+                successor = matcher.apply(transformation, match)
+                if successor is None:
+                    continue
+                applied += 1
+                assert cost_model.cost(successor) == cost + delta, transformation
+        assert applied > 0
+
+    @pytest.mark.parametrize("name", ["tof_3", "mod5_4"])
+    @pytest.mark.parametrize("bound_of", ["gamma", "plus_one", "plus_two"])
+    def test_expand_equals_the_unpruned_path(
+        self, nam_transformations_small, name, bound_of
+    ):
+        from repro.optimizer.search import ExpansionContext, expand
+        from repro.perf import PerfRecorder
+
+        circuit = self._circuit(name)
+        cost = GateCountCost().cost(circuit)
+        bound = {"gamma": 1.0001 * cost, "plus_one": cost + 1, "plus_two": cost + 2}[
+            bound_of
+        ]
+
+        def run(cost_model):
+            perf = PerfRecorder()
+            context = ExpansionContext(nam_transformations_small, cost_model, 16)
+            successors = expand(context, circuit, bound, perf)
+            return [(c, key) for c, key, _ in successors], perf.snapshot()
+
+        pruned, pruned_perf = run(GateCountCost())
+        reference, reference_perf = run(self.NoDeltaGateCount())
+        assert pruned == reference
+        prunes = pruned_perf.get("search.bound_prunes", 0)
+        if bound_of == "gamma":
+            assert prunes > 0  # every rule that adds a gate
+        assert (
+            pruned_perf["search.transformations_matched"] + prunes
+            == reference_perf["search.transformations_matched"]
+        )
+        assert pruned_perf.get("search.transformations_skipped") == reference_perf.get(
+            "search.transformations_skipped"
+        )
+        # Every rule that survives the prune yields successors under the bound.
+        assert "search.cost_rejects" not in pruned_perf
+        assert "search.bound_prunes" not in reference_perf
+
+
+class TestDefaultStrategyBytes:
+    """The default strategy's best circuit, pinned by digest, and the
+    number of circuits it explored, at 15 iterations.
+
+    ``tof_3`` and ``barenco_tof_3`` end at their input cost under the
+    q = 2 rules, so their digests pin the best rule: the first strictly
+    cheaper circuit wins, and an equal-cost circuit never displaces the
+    incumbent.  ``mod5_4`` under the q = 3 rules goes 68 -> 61, so its
+    digest pins a sequence of real reductions.
     """
 
-    DIGESTS = {
-        "tof_3": "be7db3cf873cfbdeb6f338967dd8cb74b65c4ddf0731e99a31923f5ef752fc3d",
-        "barenco_tof_3": "b6dcf9fa8f97ef40aa6561d21e42a759e498acb67a3cfd185fc2a7129665f541",
+    # name -> (rule-set fixture, sha256 of the best circuit's QASM,
+    # circuits explored).
+    EXPECTED = {
+        "tof_3": (
+            "nam_transformations_small",
+            "be7db3cf873cfbdeb6f338967dd8cb74b65c4ddf0731e99a31923f5ef752fc3d",
+            29,
+        ),
+        "barenco_tof_3": (
+            "nam_transformations_small",
+            "b6dcf9fa8f97ef40aa6561d21e42a759e498acb67a3cfd185fc2a7129665f541",
+            38,
+        ),
+        "mod5_4": (
+            "nam_transformations_quick",
+            "c9c194b8adcf14267b5576d0c538fc1459f67dd78fa352a68c6080c8f7ae8d6c",
+            392,
+        ),
     }
 
-    @pytest.mark.parametrize("name", sorted(DIGESTS))
-    def test_best_circuit_digest(self, nam_transformations_small, name):
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_best_circuit_digest(self, request, name):
         from repro.benchmarks_suite import benchmark_circuit
         from repro.ir.qasm import to_qasm
         from repro.preprocess import preprocess
 
+        rules, expected_digest, expected_explored = self.EXPECTED[name]
         circuit = preprocess(benchmark_circuit(name), "nam")
-        result = BacktrackingOptimizer(nam_transformations_small).optimize(
+        result = BacktrackingOptimizer(request.getfixturevalue(rules)).optimize(
             circuit, max_iterations=15
         )
         digest = hashlib.sha256(to_qasm(result.circuit).encode()).hexdigest()
-        assert digest == self.DIGESTS[name]
+        assert digest == expected_digest
+        assert result.circuits_explored == expected_explored
