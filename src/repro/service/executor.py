@@ -26,13 +26,12 @@ Two executors share that entry point:
   :func:`~repro.workerpool.spec_pool` whose workers each hold their own
   warm-facade table (pre-warmed from the picklable base-config spec by the
   same spec-initialized workers the generator and search shard through).
-  Because
-  ``run_chunks`` is a synchronous wave primitive, a dedicated dispatch
-  thread gathers concurrently submitted jobs into one wave of up to
-  ``workers`` single-job chunks — concurrent requests ride one wave and
-  finish together, which is what feeds the cross-request verification
-  batcher.  A wave that exhausts its retries fails every job in it with
-  the :class:`~repro.errors.RetryExhausted` it raised.
+  Because ``run_chunks`` is a synchronous wave primitive, a dedicated
+  dispatch thread gathers concurrently submitted jobs into one wave of up
+  to ``workers`` single-job chunks, so concurrent requests run side by
+  side on the pool instead of one after another.  A wave that exhausts its
+  retries fails every job in it with the
+  :class:`~repro.errors.RetryExhausted` it raised.
 """
 
 from __future__ import annotations
@@ -83,10 +82,9 @@ def facade_for_config(config_dict: Dict[str, Any]) -> Superoptimizer:
 def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Run one job payload through its warm facade; returns the report JSON.
 
-    The payload's config is expected to carry ``verify_output=False``:
-    the service verifies parent-side through the co-batching dispatcher
-    (see :mod:`repro.service.batching`), so in-worker verification would
-    be redundant work.
+    The run includes the facade's own output verification (when the
+    payload's config asks for it), so in pool mode a job is verified
+    inside the worker that optimized it.
     """
     facade = facade_for_config(payload["config"])
     report: RunReport = facade.optimize(payload["qasm"])

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from repro.errors import InvalidRequest, ServiceError
 from repro.service.config import ServiceConfig
@@ -60,6 +60,17 @@ _STATUS_TEXT = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+class _Request(NamedTuple):
+    """One request off the wire; ``status`` is 200 unless its framing was
+    rejected, in which case ``detail`` says why and ``body`` is empty."""
+
+    method: str
+    path: str
+    body: bytes = b""
+    status: int = 200
+    detail: str = ""
 
 
 class OptimizationHTTPServer:
@@ -106,9 +117,16 @@ class OptimizationHTTPServer:
     ) -> None:
         try:
             request = await self._read_request(reader)
-            if request is not None:
-                method, path, body = request
-                await self._route(method, path, body, writer)
+            if request is None:
+                return  # nothing parseable arrived; close without an answer
+            if request.status != 200:
+                await self._send_json(
+                    writer,
+                    request.status,
+                    {"error": "InvalidRequest", "detail": request.detail},
+                )
+            else:
+                await self._route(request.method, request.path, request.body, writer)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-exchange; nothing to answer
         finally:
@@ -120,7 +138,7 @@ class OptimizationHTTPServer:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, bytes]]:
+    ) -> Optional[_Request]:
         request_line = (await reader.readline()).decode("latin-1").strip()
         if not request_line:
             return None
@@ -135,11 +153,16 @@ class OptimizationHTTPServer:
                 break
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            return _Request(
+                method, path, status=400, detail=f"bad Content-Length {raw_length!r}"
+            )
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
-            return method, path, b"\x00too-large"
+            return _Request(method, path, status=413, detail="body too large")
         body = await reader.readexactly(length) if length else b""
-        return method, path, body
+        return _Request(method, path, body)
 
     async def _route(
         self,
@@ -149,11 +172,6 @@ class OptimizationHTTPServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         path, _, query = path.partition("?")
-        if body.startswith(b"\x00too-large"):
-            await self._send_json(
-                writer, 413, {"error": "InvalidRequest", "detail": "body too large"}
-            )
-            return
         try:
             if path == "/v1/optimize" and method == "POST":
                 await self._post_optimize(body, writer)

@@ -19,17 +19,15 @@ the tests drive it directly.  Lifecycle of a submission:
    :class:`~repro.errors.QueueFull` (HTTP 429) past that.
 4. **Execute** — ``executor_slots`` threads drain the queue through the
    warm executor (in-process or multiprocess, see
-   :mod:`repro.service.executor`) with ``verify_output`` forced off: the
-   run itself never verifies.
-5. **Verify** — the manager verifies parent-side through the co-batching
-   :class:`~repro.service.batching.BatchingDispatcher`, so concurrent
-   jobs' verification states share ``apply_gate_batch`` stacks.  The same
-   guard the facade applies (``VERIFY_MAX_QUBITS``) keeps verdicts
-   identical to a direct ``Superoptimizer`` run.
+   :mod:`repro.service.executor`).  Each job is one facade run, output
+   verification included, so its ``verified`` verdict comes from the
+   facade's own ``VERIFY_MAX_QUBITS`` guard and
+   :meth:`~repro.api.Superoptimizer.verify`, exactly as in a direct
+   ``Superoptimizer`` run.
 
 Responses split determinism from observability: a job's ``result`` block
 is a pure function of (circuit, config) — byte-identical whether the job
-ran alone, co-batched, memoized or retried — while timings and the
+ran alone, concurrently, memoized or retried — while timings and the
 ``service.*`` counters ride in separate fields.  The cross-request
 acceptance test keys on exactly this split.
 """
@@ -45,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.api.config import RunConfig
-from repro.api.facade import VERIFY_MAX_QUBITS, Superoptimizer
+from repro.api.facade import Superoptimizer
 from repro.errors import (
     InvalidRequest,
     JobNotFound,
@@ -55,7 +53,6 @@ from repro.errors import (
 )
 from repro.ir.gatesets import GateSet, get_gate_set
 from repro.ir.qasm import QasmError, parse_qasm, to_qasm
-from repro.service.batching import BatchingDispatcher
 from repro.service.config import ServiceConfig
 from repro.service.executor import InlineExecutor, PoolExecutor
 
@@ -75,9 +72,6 @@ class Job:
     id: str
     key: str
     canonical_qasm: str
-    num_qubits: int
-    verify_wanted: bool
-    backend_name: str
     payload: Dict[str, Any]
     status: str = "queued"
     cached: bool = False
@@ -115,9 +109,7 @@ class Job:
         return out
 
 
-def _result_block(
-    report: Dict[str, Any], verified: Optional[bool]
-) -> Dict[str, Any]:
+def _result_block(report: Dict[str, Any]) -> Dict[str, Any]:
     """The deterministic slice of a report: no timings, no counters."""
     circuits = report["circuits"]
     search = report["search"]
@@ -132,19 +124,18 @@ def _result_block(
         "iterations": search["iterations"],
         "circuits_explored": search["circuits_explored"],
         "num_transformations": report["num_transformations"],
-        "verified": verified,
+        "verified": report["verified"],
     }
 
 
 class JobManager:
-    """Queue, execute, verify and memoize optimization jobs (thread-safe)."""
+    """Queue, execute and memoize optimization jobs (thread-safe)."""
 
     def __init__(
         self,
         config: Optional[ServiceConfig] = None,
         *,
         executor: Optional[Any] = None,
-        dispatcher: Optional[BatchingDispatcher] = None,
     ) -> None:
         self.config = config or ServiceConfig()
         self._base = self.config.run_config
@@ -167,15 +158,12 @@ class JobManager:
             "service.dedupe.hits": 0,
             "service.queue.rejected": 0,
         }
-        self.dispatcher = dispatcher or BatchingDispatcher(
-            window_ms=self.config.batch_window_ms
-        )
         generation = self._base.generation
         if executor is not None:
             self.executor = executor
         elif self.config.pooled:
             self.executor = PoolExecutor(
-                self._exec_config(self._base).as_dict(),
+                self._base.as_dict(),
                 self.config.workers,
                 chunk_timeout=generation.chunk_timeout,
                 chunk_retries=generation.chunk_retries,
@@ -211,9 +199,8 @@ class JobManager:
             raise InvalidRequest(f"malformed QASM: {error}") from error
         effective = self._effective_config(overrides)
         canonical = to_qasm(circuit)
-        exec_config = self._exec_config(effective)
         key = _content_key(canonical, effective)
-        payload = {"qasm": canonical, "config": exec_config.as_dict()}
+        payload = {"qasm": canonical, "config": effective.as_dict()}
 
         with self._wake:
             if self._closed:
@@ -222,7 +209,7 @@ class JobManager:
             memoized = self._memo.get(key)
             if memoized is not None:
                 self._counters["service.cache.hits"] += 1
-                job = self._new_job(key, canonical, circuit, effective, payload)
+                job = self._new_job(key, canonical, payload)
                 job.cached = True
                 result, report = memoized
                 job.result = dict(result)
@@ -240,7 +227,7 @@ class JobManager:
                 raise QueueFull(
                     f"job queue is full ({self.config.max_queue} pending)"
                 )
-            job = self._new_job(key, canonical, circuit, effective, payload)
+            job = self._new_job(key, canonical, payload)
             self._active[key] = job
             self._queue.append(job)
             self._wake.notify_all()
@@ -259,7 +246,6 @@ class JobManager:
             counters = dict(self._counters)
             depth = len(self._queue)
             active = len(self._active)
-        counters.update(self.dispatcher.snapshot())
         counters["service.queue.depth"] = depth
         counters["service.jobs.active"] = active
         return counters
@@ -287,7 +273,6 @@ class JobManager:
             self._wake.notify_all()
         for thread in self._threads:
             thread.join(timeout)
-        self.dispatcher.close()
         self.executor.close()
 
     def __enter__(self) -> "JobManager":
@@ -301,47 +286,39 @@ class JobManager:
     def _effective_config(
         self, overrides: Optional[Mapping[str, Any]]
     ) -> RunConfig:
-        if overrides is None:
-            return self._base
-        if not isinstance(overrides, Mapping) or not all(
-            isinstance(k, str) for k in overrides
-        ):
-            raise InvalidRequest("config must be an object of field names")
-        try:
-            return self._base.with_overrides(**dict(overrides))
-        except (TypeError, ValueError) as error:
-            raise InvalidRequest(f"bad config override: {error}") from error
-
-    def _exec_config(self, effective: RunConfig) -> RunConfig:
-        """The config a job executes under: resolvable names, no verify.
+        """The config a job executes under, with every name resolvable.
 
         Eager resolution turns unknown backend/strategy/gate-set names
         into a 400 here instead of a failed job later.
         """
-        exec_config = effective.with_overrides(verify_output=False)
+        effective = self._base
+        if overrides is not None:
+            if not isinstance(overrides, Mapping) or not all(
+                isinstance(k, str) for k in overrides
+            ):
+                raise InvalidRequest("config must be an object of field names")
+            try:
+                effective = self._base.with_overrides(**dict(overrides))
+            except (TypeError, ValueError) as error:
+                raise InvalidRequest(f"bad config override: {error}") from error
         try:
-            if not isinstance(exec_config.gate_set, GateSet):
-                get_gate_set(exec_config.gate_set_name)
-            Superoptimizer(exec_config)
+            if not isinstance(effective.gate_set, GateSet):
+                get_gate_set(effective.gate_set_name)
+            Superoptimizer(effective)
         except (KeyError, ValueError, TypeError) as error:
             raise InvalidRequest(f"bad configuration: {error}") from error
-        return exec_config
+        return effective
 
     def _new_job(
         self,
         key: str,
         canonical: str,
-        circuit: Any,
-        effective: RunConfig,
         payload: Dict[str, Any],
     ) -> Job:
         job = Job(
             id=f"job-{self._next_id}",
             key=key,
             canonical_qasm=canonical,
-            num_qubits=circuit.num_qubits,
-            verify_wanted=bool(effective.verify_output),
-            backend_name=str(payload["config"]["backend"]),
             payload=payload,
             created=time.monotonic(),
         )
@@ -380,9 +357,7 @@ class JobManager:
     def _run_job(self, job: Job) -> None:
         try:
             report = self.executor.run(job.payload)
-            verified = self._verify(job, report)
-            report["verified"] = verified
-            result = _result_block(report, verified)
+            result = _result_block(report)
         except ReproError as error:
             with self._lock:
                 self._active.pop(job.key, None)
@@ -404,25 +379,6 @@ class JobManager:
                 self._memo.popitem(last=False)
             self._active.pop(job.key, None)
             self._finish(job, "completed")
-
-    def _verify(self, job: Job, report: Dict[str, Any]) -> Optional[bool]:
-        """Parent-side output verification through the co-batcher.
-
-        Mirrors the facade's guard exactly, so ``verified`` is identical
-        to what a direct ``Superoptimizer.optimize`` would report.
-        """
-        if not job.verify_wanted or job.num_qubits > VERIFY_MAX_QUBITS:
-            return None
-        with self._lock:
-            self._event(job, "verifying")
-        circuits = report["circuits"]
-        future = self.dispatcher.submit_pair(
-            parse_qasm(circuits["input_qasm"]),
-            parse_qasm(circuits["optimized_qasm"]),
-            backend=str(report["provenance"].get("backend", job.backend_name)),
-            job_key=job.id,
-        )
-        return bool(future.result())
 
 
 def _content_key(canonical_qasm: str, effective: RunConfig) -> str:
