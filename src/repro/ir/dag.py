@@ -11,7 +11,7 @@ order.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.ir.circuit import Circuit, Instruction
 
@@ -32,6 +32,8 @@ class CircuitDAG:
         # For each qubit, node ids in wire order.
         self.wires: List[List[int]] = [[] for _ in range(num_qubits)]
         self._next_id = 0
+        # (descendants, ancestors) bitmasks; see reachability_masks().
+        self._masks: Optional[Tuple[List[int], List[int]]] = None
 
     # -- construction -------------------------------------------------------
 
@@ -45,6 +47,7 @@ class CircuitDAG:
     def add_instruction(self, inst: Instruction) -> int:
         node_id = self._next_id
         self._next_id += 1
+        self._masks = None
         self.nodes[node_id] = inst
         self.successors[node_id] = set()
         self.predecessors[node_id] = set()
@@ -118,6 +121,34 @@ class CircuitDAG:
                     stack.append(pred)
         return seen - roots
 
+    def reachability_masks(self) -> Tuple[List[int], List[int]]:
+        """Per-node descendant and ancestor sets as integer bitmasks.
+
+        Bit ``i`` of ``descendants_mask[n]`` is set iff node ``i`` is a
+        (strict) descendant of ``n``.  Node ids are used as list indices
+        and bit positions, which is valid because ids are consecutive
+        integers from 0.  The masks are computed on first use and cached
+        until :meth:`add_instruction` changes the graph; the matcher runs
+        thousands of convexity checks per circuit against them, each a
+        handful of integer operations.
+        """
+        if self._masks is None:
+            count = self._next_id
+            descendants_mask = [0] * count
+            for node_id in range(count - 1, -1, -1):
+                mask = 0
+                for successor in self.successors[node_id]:
+                    mask |= (1 << successor) | descendants_mask[successor]
+                descendants_mask[node_id] = mask
+            ancestors_mask = [0] * count
+            for node_id in range(count):
+                mask = 0
+                for predecessor in self.predecessors[node_id]:
+                    mask |= (1 << predecessor) | ancestors_mask[predecessor]
+                ancestors_mask[node_id] = mask
+            self._masks = (descendants_mask, ancestors_mask)
+        return self._masks
+
     def is_convex(self, node_set: Iterable[int]) -> bool:
         """Check whether ``node_set`` induces a convex subgraph.
 
@@ -125,44 +156,12 @@ class CircuitDAG:
         two nodes of the set; equivalently, no outside node is simultaneously
         a descendant and an ancestor of the set.
         """
-        members = set(node_set)
-        if not members:
-            return True
-        below = self.descendants(members) - members
-        above = self.ancestors(members) - members
-        return not (below & above)
+        members, below, above = self._set_masks(node_set)
+        return not (below & above & ~members)
 
-    def reachability_masks(self) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """Per-node descendant and ancestor sets as integer bitmasks.
-
-        Bit ``i`` of ``descendants_mask[n]`` is set iff node ``i`` is a
-        (strict) descendant of ``n``.  Node ids are used as bit positions,
-        which is valid because ids are small consecutive integers.  The
-        matcher uses these to run thousands of convexity checks per circuit
-        as a handful of integer operations each.
-        """
-        order = self.topological_order()
-        descendants_mask: Dict[int, int] = {}
-        for node_id in reversed(order):
-            mask = 0
-            for successor in self.successors[node_id]:
-                mask |= (1 << successor) | descendants_mask[successor]
-            descendants_mask[node_id] = mask
-        ancestors_mask: Dict[int, int] = {}
-        for node_id in order:
-            mask = 0
-            for predecessor in self.predecessors[node_id]:
-                mask |= (1 << predecessor) | ancestors_mask[predecessor]
-            ancestors_mask[node_id] = mask
-        return descendants_mask, ancestors_mask
-
-    def is_convex_masked(
-        self,
-        node_ids: Sequence[int],
-        descendants_mask: Dict[int, int],
-        ancestors_mask: Dict[int, int],
-    ) -> bool:
-        """Bitmask variant of :meth:`is_convex` using precomputed masks."""
+    def _set_masks(self, node_ids: Iterable[int]) -> Tuple[int, int, int]:
+        """The members, descendants and ancestors of a node set as bitmasks."""
+        descendants_mask, ancestors_mask = self.reachability_masks()
         members = 0
         below = 0
         above = 0
@@ -170,7 +169,7 @@ class CircuitDAG:
             members |= 1 << node_id
             below |= descendants_mask[node_id]
             above |= ancestors_mask[node_id]
-        return not (below & above & ~members)
+        return members, below, above
 
     # -- rewriting ------------------------------------------------------------
 
@@ -183,22 +182,21 @@ class CircuitDAG:
 
         The replacement instructions must already be expressed over this
         DAG's qubits (the matcher performs the qubit/parameter translation).
-        Nodes that must come before the matched set (its ancestors) keep
-        their relative order and are emitted first, then the replacement,
-        then everything else — valid because the matched set is convex.
+        Nodes that must come before the matched set (its ancestors, the OR
+        of the members' cached ancestor masks) keep their relative order and
+        are emitted first, then the replacement, then everything else —
+        valid because the matched set is convex.
         """
-        members = set(matched)
-        if not self.is_convex(members):
+        members, below, above = self._set_masks(matched)
+        if below & above & ~members:
             raise ValueError("cannot splice a non-convex node set")
-        before = self.ancestors(members) - members
-        instructions: List[Instruction] = []
-        for node_id in self.topological_order():
-            if node_id in before:
-                instructions.append(self.nodes[node_id])
+        before = above & ~members
+        placed = before | members
+        # Node ids ascend in ``nodes``' insertion order, a topological order.
+        nodes = self.nodes.items()
+        instructions = [inst for i, inst in nodes if before >> i & 1]
         instructions.extend(replacement)
-        for node_id in self.topological_order():
-            if node_id not in before and node_id not in members:
-                instructions.append(self.nodes[node_id])
+        instructions.extend(inst for i, inst in nodes if not placed >> i & 1)
         return Circuit(self.num_qubits, instructions, self.num_params)
 
     def __repr__(self) -> str:

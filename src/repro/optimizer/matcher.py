@@ -5,8 +5,12 @@ target circuit's DAG — the graph counterpart of the subcircuit notion — with
 three families of constraints:
 
 * **structure** — gate names and operand positions must agree, the qubit
-  mapping must be injective, and matched gates must appear on each wire in
-  the same order as in the pattern;
+  mapping must be injective, and pattern gates that are consecutive on a
+  wire must map to circuit nodes that are *adjacent* on the mapped wire.
+  Adjacency loses no convex match: a node strictly between two such
+  matched nodes cannot be matched itself (injectivity and wire order would
+  put its pattern gate between two consecutive ones), and if unmatched it
+  lies on a path between matched nodes, so the match would not be convex;
 * **convexity** — no unmatched gate may lie on a path between matched gates;
 * **parameters** — the pattern's symbolic angle expressions must unify with
   the concrete angles of the matched gates.  Matching yields a system of
@@ -62,8 +66,6 @@ class PatternMatcher:
         for qubit, wire in enumerate(self.dag.wires):
             for position, node_id in enumerate(wire):
                 self._wire_pos[node_id][qubit] = position
-        # Bitmask reachability for O(pattern-size) convexity checks.
-        self._descendants_mask, self._ancestors_mask = self.dag.reachability_masks()
 
     # -- matching -----------------------------------------------------------
 
@@ -150,10 +152,10 @@ class PatternMatcher:
         """Candidate circuit nodes for the pattern instruction at ``position``.
 
         When the instruction shares a qubit with an already-matched pattern
-        instruction, every valid match must lie strictly after that match on
-        the corresponding circuit wire, so only that wire suffix (filtered
-        by gate name) is enumerated instead of every node with the right
-        gate.  Disconnected pattern prefixes fall back to the gate index.
+        instruction, a convex match must put it on the node right after that
+        match on the corresponding circuit wire (see the module docstring),
+        so that one node is the only candidate, if its gate name fits.
+        Disconnected pattern prefixes fall back to the gate index.
         """
         pattern_inst = pattern.instructions[position]
         gate_name = pattern_inst.gate.name
@@ -168,16 +170,14 @@ class PatternMatcher:
                     ]
                     if earlier_position < 0:
                         return ()
+                    # Adjacency on this wire is enforced here; the other
+                    # shared wires are checked by _wire_order_ok.
                     wire = self.dag.wires[circuit_qubit]
-                    nodes = self.dag.nodes
-                    # Wire-order pruning on one shared wire is sound: the
-                    # remaining constraints are re-checked during binding
-                    # and by _wire_order_ok.
-                    return [
-                        node_id
-                        for node_id in wire[earlier_position + 1 :]
-                        if nodes[node_id].gate.name == gate_name
-                    ]
+                    if earlier_position + 1 < len(wire):
+                        node_id = wire[earlier_position + 1]
+                        if self.dag.nodes[node_id].gate.name == gate_name:
+                            return (node_id,)
+                    return ()
             # A mapped qubit with no earlier pattern instruction on it cannot
             # happen (the mapping was created by an earlier instruction), but
             # fall through defensively.
@@ -191,7 +191,8 @@ class PatternMatcher:
         assignment: Sequence[int],
         qubit_map: Dict[int, int],
     ) -> bool:
-        """Matched gates must appear on every shared wire in pattern order.
+        """Matched gates must sit on every shared wire right after the match
+        of the previous pattern gate on that wire.
 
         ``qubit_map`` already contains the bindings introduced by the
         instruction at ``position`` (the caller binds eagerly).
@@ -208,7 +209,7 @@ class PatternMatcher:
             for earlier in range(position - 1, -1, -1):
                 if pattern_qubit in pattern.instructions[earlier].qubits:
                     earlier_position = wire_pos[assignment[earlier]][circuit_qubit]
-                    if earlier_position < 0 or earlier_position >= node_position:
+                    if earlier_position < 0 or earlier_position + 1 != node_position:
                         return False
                     break
         return True
@@ -220,9 +221,7 @@ class PatternMatcher:
         qubit_map: Dict[int, int],
     ) -> Optional[Match]:
         node_ids = tuple(assignment)
-        if not self.dag.is_convex_masked(
-            node_ids, self._descendants_mask, self._ancestors_mask
-        ):
+        if not self.dag.is_convex(node_ids):
             return None
         param_assignment = self._solve_params(pattern, node_ids)
         if param_assignment is None:
