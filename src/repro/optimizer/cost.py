@@ -60,13 +60,6 @@ class TwoQubitCountCost(CostModel):
     def cost(self, circuit: Circuit) -> float:
         return float(circuit.two_qubit_count())
 
-    def delta(self, transformation: Transformation) -> Optional[float]:
-        # A splice swaps the source's gates for the target's, one for one.
-        return float(
-            transformation.target.two_qubit_count()
-            - transformation.source.two_qubit_count()
-        )
-
 
 class TCountCost(CostModel):
     """Number of T/Tdg gates (the expensive gates in fault-tolerant settings).
@@ -89,17 +82,6 @@ class TCountCost(CostModel):
                     count += 1
         return float(count)
 
-    def delta(self, transformation: Transformation) -> Optional[float]:
-        # A symbolic rotation angle is only fixed by the match, so whether
-        # it counts as a T gate depends on where the rewrite lands.
-        for side in (transformation.source, transformation.target):
-            for inst in side.instructions:
-                if inst.gate.name in ("rz", "u1") and not all(
-                    angle.is_constant() for angle in inst.params
-                ):
-                    return None
-        return self.cost(transformation.target) - self.cost(transformation.source)
-
 
 class DepthCost(CostModel):
     """Circuit depth (longest dependency chain)."""
@@ -120,14 +102,3 @@ class WeightedCost(CostModel):
 
     def cost(self, circuit: Circuit) -> float:
         return sum(weight * model.cost(circuit) for model, weight in self.components)
-
-    def delta(self, transformation: Transformation) -> Optional[float]:
-        # Exact only when every component's delta is; with weights that are
-        # not dyadic the sum may differ from the cost change by rounding.
-        total = 0.0
-        for model, weight in self.components:
-            component = model.delta(transformation)
-            if component is None:
-                return None
-            total += weight * component
-        return total

@@ -17,7 +17,6 @@ from repro.optimizer import (
     get_strategy,
     transformations_from_ecc_set,
 )
-from repro.optimizer.cost import WeightedCost
 from repro.optimizer.matcher import PatternMatcher
 from repro.semantics.simulator import circuits_equivalent_numeric
 
@@ -319,82 +318,6 @@ class TestBoundPruning:
         # Every rule that survives the prune yields successors under the bound.
         assert "search.cost_rejects" not in pruned_perf
         assert "search.bound_prunes" not in reference_perf
-
-
-class TestExactDeltas:
-    """The two-qubit, T-count and weighted models give an exact ``delta``
-    wherever one exists: every successor ``expand`` builds from a rule
-    costs exactly its parent plus that rule's delta."""
-
-    #: Nam rules from RepGen only ever carry symbolic rotation angles, so
-    #: two hand-built constant-angle rules give the T count a nonzero delta
-    #: (the first matches both circuits, the second ``mod5_4``'s rz(pi/2)).
-    T_RULES = [
-        Transformation(
-            Circuit(1).rz(0, Angle.pi(Fraction(1, 4))),
-            Circuit(1).rz(0, Angle.pi(Fraction(3, 8))).rz(0, Angle.pi(Fraction(-1, 8))),
-            name="t->split",
-        ),
-        Transformation(
-            Circuit(1).rz(0, Angle.pi(Fraction(1, 2))),
-            Circuit(1).rz(0, Angle.pi(Fraction(1, 4))).rz(0, Angle.pi(Fraction(1, 4))),
-            name="s->t.t",
-        ),
-    ]
-
-    MODELS = {
-        "two_qubit": TwoQubitCountCost,
-        "t_count": TCountCost,
-        "weighted": lambda: WeightedCost(
-            [(GateCountCost(), 1.0), (TwoQubitCountCost(), 0.5), (TCountCost(), 2.0)]
-        ),
-    }
-
-    def test_delta_values(self):
-        cx_flip = Transformation(
-            Circuit(2).h(0).h(1).cx(0, 1).h(0).h(1), Circuit(2).cx(1, 0)
-        )
-        symbolic = Transformation(
-            Circuit(1).rz(0, Angle.param(0)), Circuit(1).rz(0, Angle.param(0))
-        )
-        assert TwoQubitCountCost().delta(cx_flip) == 0
-        cx_pair = Transformation(Circuit(2).cx(0, 1).cx(0, 1), Circuit(2))
-        assert TwoQubitCountCost().delta(cx_pair) == -2
-        assert TCountCost().delta(self.T_RULES[0]) == -1
-        assert TCountCost().delta(symbolic) is None
-        assert DepthCost().delta(cx_flip) is None
-        weighted = self.MODELS["weighted"]()
-        assert weighted.delta(cx_flip) == -4
-        assert weighted.delta(self.T_RULES[1]) == 1 + 4
-        assert weighted.delta(symbolic) is None
-        assert WeightedCost([(DepthCost(), 1.0)]).delta(cx_flip) is None
-
-    @pytest.mark.parametrize("name", ["tof_3", "mod5_4"])
-    @pytest.mark.parametrize("model", sorted(MODELS))
-    def test_successors_cost_parent_plus_delta(
-        self, nam_transformations_quick, name, model
-    ):
-        from repro.optimizer.search import ExpansionContext, expand
-        from repro.perf import PerfRecorder
-
-        circuit = TestBoundPruning._circuit(name)
-        cost_model = self.MODELS[model]()
-        cost = cost_model.cost(circuit)
-        checked = 0
-        nonzero = 0
-        for transformation in list(nam_transformations_quick) + self.T_RULES:
-            delta = cost_model.delta(transformation)
-            if delta is None:
-                continue
-            context = ExpansionContext([transformation], cost_model, None)
-            for new_cost, _, successor in expand(
-                context, circuit, float("inf"), PerfRecorder()
-            ):
-                assert cost_model.cost(successor) == new_cost
-                assert new_cost - cost == delta, transformation
-                checked += 1
-                nonzero += delta != 0
-        assert checked > 0 and nonzero > 0
 
 
 class TestDefaultStrategyBytes:
